@@ -1,12 +1,14 @@
 """Serving-engine benchmark: batched fleet throughput vs sequential.
 
 Not a paper table — this benchmarks the :mod:`repro.serve` subsystem on a
-LeNet-class workload (pool of 4 chips, batch 32) and enforces the two
+LeNet-class workload (pool of 4 chips, batch 32) and enforces the
 serving guarantees:
 
 * dynamic micro-batching beats sequential per-request inference by >= 3x
   on the same workload and fleet;
-* a fixed seed reproduces identical per-request outputs across two runs.
+* a fixed seed reproduces identical per-request outputs across two runs;
+* with tracing off, the obs calls a request triggers cost < 5% of its
+  measured service time.
 
 Run under pytest for the full benchmark harness::
 
@@ -40,6 +42,7 @@ from repro.datasets.loaders import batch_iterator
 from repro.datasets.synthetic import synthetic_mnist
 from repro.models import build_model
 from repro.nn import init
+from repro.obs import Observability
 from repro.quant.calibration import calibrate_model
 from repro.quant.ptq import convert_to_quantized
 from repro.quant.qconfig import QConfig
@@ -136,6 +139,40 @@ def test_fixed_seed_reproduces_outputs():
     first = _engine(model, spec, MAX_BATCH, 4, seed=3).run(workload, ids=ids)
     second = _engine(model, spec, MAX_BATCH, 4, seed=3).run(workload, ids=ids)
     assert all(np.array_equal(first[rid], second[rid]) for rid in ids)
+
+
+def test_null_obs_cost_under_5pct_of_service_time():
+    """The obs calls one request triggers with tracing off (events + no-op
+    spans) must cost < 5% of that request's measured service time.
+
+    ``tests/test_obs_overhead.py`` pins how many calls that is on the
+    per-chip path (under two per request); 12 per request is a deliberate
+    overestimate of it.
+    """
+    model, spec, workload, ids = _serving_workload(requests=64)
+    obs = Observability.disabled()
+    calls = 20000
+    started = time.perf_counter()
+    for _ in range(calls):
+        with obs.span("stage", chip="chip00", tick=0):
+            pass
+        obs.event("enqueue", request="r", tick=0)
+    per_op_seconds = (time.perf_counter() - started) / (2 * calls)
+
+    engine = InferenceEngine(
+        model,
+        spec,
+        num_chips=2,
+        config=ServeConfig(max_batch=8, max_wait=2, tracing=False, fused=False),
+    )
+    engine.warm_up()
+    per_request_seconds = _timed_run(engine, workload, ids) / len(ids)
+
+    overhead = 12 * per_op_seconds
+    assert overhead < 0.05 * per_request_seconds, (
+        f"null-obs overhead {1e6 * overhead:.2f} us/request exceeds 5% of "
+        f"{1e6 * per_request_seconds:.2f} us/request service time"
+    )
 
 
 def _chaos_run(model, spec, workload, ids, trace, seed: int = 0,

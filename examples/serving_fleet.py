@@ -101,12 +101,13 @@ def main() -> None:
         model,
         deploy_spec,
         num_chips=NUM_CHIPS,
-        config=ServeConfig(max_batch=16, max_wait=1, cache_capacity=2, seed=7),
+        config=ServeConfig(max_batch=16, max_wait=1, max_resident_chips=2, seed=7),
     )
     engine.run(workload, ids=ids)
     stats = engine.cache.stats
-    print(f"\ncache capacity 2 vs fleet of {NUM_CHIPS}: "
+    print(f"\n2 resident chips vs fleet of {NUM_CHIPS}: "
           f"hits={stats.hits} misses={stats.misses} evictions={stats.evictions} "
+          f"spills={stats.spills} "
           f"(reprogram cost {1e3 * stats.program_seconds:.1f} ms)")
     print("\ntakeaway: batching + a mapping cache turn the per-chip self-tuning "
           "story into a serving system — chips are programmed once, requests are "

@@ -188,26 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--requests", type=_positive_int, default=256)
         sub.add_argument(
-            "--cache-capacity",
-            type=_positive_int,
-            default=None,
-            help="resident mappings bound (default: the whole fleet)",
-        )
-        sub.add_argument(
-            "--shards",
-            type=_nonnegative_int,
-            default=0,
-            help="shard the fleet across this many worker processes "
-            "(0 = in-process serial; outputs and telemetry digests are "
-            "bit-identical either way)",
-        )
-        sub.add_argument(
             "--max-resident-chips",
             type=_positive_int,
             default=None,
             metavar="N",
-            help="LRU spill bound on realized chips (lazy fleets re-realize "
-            "evicted chips deterministically from their seeds; default: unbounded)",
+            help="mapping-cache capacity: at most N programmed chips stay "
+            "resident, and evicted chips spill and re-realize deterministically "
+            "from their seeds (default: the whole fleet)",
         )
         sub.add_argument(
             "--probe-k", type=_positive_int, default=1, help="top-k of the quality probe"
@@ -587,12 +574,10 @@ def _drift_serving_run(model, test, eval_spec, args, policy: str) -> dict:
         max_batch=args.max_batch,
         max_wait=args.max_wait,
         policy=policy,
-        cache_capacity=args.cache_capacity,
         seed=args.seed,
         self_tuning=_self_tuning(args),
         backend=args.backend,
         fused=args.fused,
-        shards=args.shards,
         max_resident_chips=args.max_resident_chips,
     )
     engine = InferenceEngine(
@@ -603,13 +588,12 @@ def _drift_serving_run(model, test, eval_spec, args, policy: str) -> dict:
     lifecycle.install()
     workload, labels, ids = _serving_workload(args, test)
     # Freeze the arrival schedule into a replay trace: the lifetime bench
-    # is defined over a pinned request timeline, so sharded and serial
-    # runs (and reruns) replay the exact same arrivals.
+    # is defined over a pinned request timeline, so every policy (and
+    # every rerun) replays the exact same arrivals.
     trace = ReplayTrace.from_trace(_cli_trace(args), args.requests)
     started = time.perf_counter()
     outputs = engine.run_trace(workload, trace, ids=ids, lifecycle=lifecycle)
     seconds = time.perf_counter() - started
-    engine.close()
     logits = np.stack([outputs[rid] for rid in ids])
     correct = logits.argmax(axis=1) == labels
     # "End of trace" = the second half of the request stream: long enough to
@@ -744,7 +728,7 @@ def _bench_scale(args, engine) -> dict:
         "model": args.model,
         "notation": args.notation,
         "backend": args.backend,
-        "num_chips": args.num_chips,
+        "num_chips": len(engine.fleet),
         "fleet": args.fleet,
         "max_batch": args.max_batch,
         "max_wait": args.max_wait,
@@ -752,7 +736,6 @@ def _bench_scale(args, engine) -> dict:
         "trace": args.trace,
         "seed": args.seed,
         "fused": bool(getattr(args, "fused", True)),
-        "shards": int(getattr(args, "shards", 0) or 0),
         "max_resident_chips": getattr(args, "max_resident_chips", None),
         **engine.policy.describe(),
     }
@@ -878,12 +861,10 @@ def _chaos_serving_run(model, test, eval_spec, args, trace) -> dict:
         max_batch=args.max_batch,
         max_wait=args.max_wait,
         policy=args.policy,
-        cache_capacity=args.cache_capacity,
         seed=args.seed,
         self_tuning=_self_tuning(args),
         backend=args.backend,
         fused=args.fused,
-        shards=args.shards,
         max_resident_chips=args.max_resident_chips,
     )
     engine = InferenceEngine(
@@ -904,7 +885,6 @@ def _chaos_serving_run(model, test, eval_spec, args, trace) -> dict:
     started = time.perf_counter()
     outputs = engine.run_trace(workload, trace, ids=ids)
     seconds = time.perf_counter() - started
-    engine.close()
     served = [rid for rid in ids if rid in outputs]
     correct = sum(
         int(outputs[rid].argmax() == label)
@@ -1079,13 +1059,11 @@ def _slo_serving_run(model, test, eval_spec, args, trace, policy: str) -> dict:
         max_batch=args.max_batch,
         max_wait=args.max_wait,
         policy=policy,
-        cache_capacity=args.cache_capacity,
         seed=args.seed,
         self_tuning=_self_tuning(args),
         backend=args.backend,
         continuous=True,
         fused=args.fused,
-        shards=args.shards,
         max_resident_chips=args.max_resident_chips,
     )
     engine = InferenceEngine(
@@ -1107,7 +1085,6 @@ def _slo_serving_run(model, test, eval_spec, args, trace, policy: str) -> dict:
     started = time.perf_counter()
     outputs = engine.run_trace(workload, trace, ids=ids)
     seconds = time.perf_counter() - started
-    engine.close()
     served = [rid for rid in ids if rid in outputs]
     correct = sum(
         int(outputs[rid].argmax() == label)
@@ -1285,17 +1262,15 @@ def _cmd_serve_bench(args) -> int:
     model, test, eval_spec = _serve_model(args)
     workload, _, ids = _serving_workload(args, test)
 
-    def serve(max_batch: int, max_wait: int, fused: bool, shards: int = 0):
+    def serve(max_batch: int, max_wait: int, fused: bool):
         config = ServeConfig(
             max_batch=max_batch,
             max_wait=max_wait,
             policy=args.policy,
-            cache_capacity=args.cache_capacity,
             seed=args.seed,
             self_tuning=_self_tuning(args),
             backend=args.backend,
             fused=fused,
-            shards=shards,
             max_resident_chips=args.max_resident_chips,
         )
         engine = InferenceEngine(
@@ -1309,16 +1284,13 @@ def _cmd_serve_bench(args) -> int:
             outputs = engine.run_trace(workload, _cli_trace(args), ids=ids)
         else:
             outputs = engine.run(workload, ids=ids)
-        engine.close()
         return engine, outputs, time.perf_counter() - started
 
     # The sequential reference is per-request by definition: fusing its
-    # single-sample batches would measure a different baseline (and sharding
-    # one-sample ticks would only measure pipe overhead), so only the batched
-    # engine honours --shards.
+    # single-sample batches would measure a different baseline.
     sequential, seq_out, seq_seconds = serve(max_batch=1, max_wait=0, fused=False)
     batched, batch_out, batch_seconds = serve(
-        args.max_batch, args.max_wait, fused=args.fused, shards=args.shards
+        args.max_batch, args.max_wait, fused=args.fused
     )
     mismatched = sum(
         not np.array_equal(seq_out[rid], batch_out[rid]) for rid in ids
@@ -1349,10 +1321,6 @@ def _cmd_serve_bench(args) -> int:
     print(f"fused dispatch: {fused_stats.fused_groups} groups, "
           f"{fused_stats.fused_batches} batches, "
           f"{fused_stats.fused_fallback_batches} fallbacks")
-    if args.shards:
-        print(f"sharded dispatch: {fused_stats.shard_groups} ticks, "
-              f"{fused_stats.shard_batches} batches across "
-              f"{args.shards} shards")
     print(f"telemetry digest: {batched.telemetry.digest()}")
     print()
     _print_span_breakdown(batched, title="per-stage span breakdown (batched)")
@@ -1373,7 +1341,6 @@ def _cmd_serve_bench(args) -> int:
             "max_batch": args.max_batch,
             "max_wait": args.max_wait,
             "requests": args.requests,
-            "shards": args.shards,
             "max_resident_chips": args.max_resident_chips,
             "sequential_seconds": seq_seconds,
             "batched_seconds": batch_seconds,

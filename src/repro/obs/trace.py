@@ -11,7 +11,7 @@ into a per-stage breakdown.
 When tracing is off the engine talks to a :class:`NullRecorder` instead:
 ``span()`` returns a shared no-op context manager and ``event()`` returns
 immediately, so the disabled path costs a method call and nothing else —
-the overhead bound ``tests/test_obs_overhead.py`` enforces.
+the overhead bound ``benchmarks/bench_serving.py`` enforces.
 """
 
 from __future__ import annotations

@@ -21,12 +21,11 @@ puts a client-facing asyncio front end over all of it — the
 deadlines/SLOs, continuous batching, bounded-queue admission control
 (:class:`~repro.serve.api.Overloaded`), and compilation of every accepted
 session into a bit-replayable
-:class:`~repro.serve.trace.ReplayTrace`.  :mod:`repro.serve.shard`
-scales all of it out: fleets construct lazily from seed descriptors
-(``num_chips=1000+`` in O(descriptors) memory, with an LRU spill bound
-via ``ServeConfig.max_resident_chips``) and ``ServeConfig.shards`` runs
-each tick's staged batches on a pool of forked worker processes with
-bit-identical outputs and telemetry digests (``docs/scale-out.md``).  See
+:class:`~repro.serve.trace.ReplayTrace`.  Fleets construct lazily from
+seed descriptors (:class:`~repro.serve.engine.ChipDescriptor`):
+``num_chips=1000+`` fits in O(descriptors) memory, and
+``ServeConfig.max_resident_chips`` bounds how many chips are resident at
+once, spilling cold ones (``docs/scale-out.md``).  See
 :class:`~repro.serve.engine.InferenceEngine` for the entry point and
 ``examples/serving_fleet.py`` / ``examples/lifecycle_serving.py`` /
 ``examples/chaos_serving.py`` for end-to-end tours.
@@ -83,7 +82,6 @@ from repro.serve.scheduler import (
     dispatchable,
     make_policy,
 )
-from repro.serve.shard import ChipStateRef, ShardPlan, ShardPool
 from repro.serve.telemetry import ServeTelemetry
 from repro.serve.trace import (
     TRACES,
@@ -114,9 +112,6 @@ __all__ = [
     "ChipDescriptor",
     "FleetChip",
     "FleetSpec",
-    "ChipStateRef",
-    "ShardPlan",
-    "ShardPool",
     "TechnologyGroup",
     "ServedRequest",
     "Request",

@@ -44,7 +44,6 @@ from repro.serve.cache import MappingCache, mapping_key
 from repro.serve.faults import ChipFault, DeadLetter, RetryPolicy
 from repro.serve.health import HealthConfig, HealthMonitor
 from repro.serve.scheduler import dispatchable, make_policy
-from repro.serve.shard import ChipStateRef, ShardPlan, ShardPool
 from repro.serve.telemetry import ServeTelemetry
 from repro.serve.trace import ArrivalTrace
 from repro.variability.faults import FaultSpec
@@ -58,9 +57,7 @@ class ServeConfig:
 
     ``max_batch=1`` with ``max_wait=0`` degenerates to sequential
     per-request serving — the baseline ``benchmarks/bench_serving.py``
-    measures against.  ``cache_capacity=None`` keeps every chip's mapping
-    resident (programmed exactly once); a smaller capacity models a host
-    that cannot hold the whole fleet and must reprogram on demand.
+    measures against.
 
     ``backend`` selects how chips are realized: a registered
     :mod:`repro.backends` name (``"fake-quant"``, ``"circuit"``) or a
@@ -70,7 +67,7 @@ class ServeConfig:
     ``tracing`` controls request-scoped span recording (metrics stay on
     either way): ``True`` collects spans in a bounded in-memory recorder,
     ``False`` swaps in the :class:`repro.obs.NullRecorder` fast path —
-    the difference is bounded by ``tests/test_obs_overhead.py``.  Ignored
+    the difference is bounded by ``benchmarks/bench_serving.py``.  Ignored
     when an explicit :class:`repro.obs.Observability` is handed to the
     engine.
 
@@ -98,30 +95,19 @@ class ServeConfig:
     injector, self-tuning corrections, an unstackable fleet, or a
     single-batch tick), so turning it off is only ever a debugging aid.
 
-    ``shards`` scales the engine out across worker processes: ``N >= 1``
-    partitions the fleet into ``N`` contiguous shards
-    (:class:`repro.serve.shard.ShardPlan`) and executes each tick's staged
-    batches on a :class:`repro.serve.shard.ShardPool` of forked workers,
-    each owning its shard's programmed chips.  Outputs and the telemetry
-    digest are bit-identical to in-process execution (see
-    ``docs/scale-out.md``); ``0`` (the default) is the in-process serial
-    path — nothing changes for existing callers.  Chaos and self-tuning
-    runs always take the serial path, mirroring ``fused``.
-
-    ``max_resident_chips`` bounds how many chips may be *realized* at
-    once on the coordinator: it caps the mapping cache at that many
-    resident :class:`~repro.backends.ProgrammedChip` objects (tightening
-    ``cache_capacity`` if both are set) and releases an evicted chip's
-    realized variation patterns back to its seed descriptor — the LRU
-    spill bound that lets ``num_chips=1000+`` fleets serve in
-    O(``max_resident_chips``) heavy state.  Spilled chips re-realize
-    deterministically on the next dispatch or probe.
+    ``max_resident_chips`` is the mapping cache's capacity: at most that
+    many programmed :class:`~repro.backends.ProgrammedChip` objects stay
+    resident, and an evicted chip also releases its realized variation
+    patterns back to its seed descriptor — the LRU spill bound that lets
+    ``num_chips=1000+`` fleets serve in O(``max_resident_chips``) heavy
+    state (see ``docs/scale-out.md``).  Spilled chips re-realize
+    deterministically on the next dispatch or probe.  ``None`` (the
+    default) keeps every chip's mapping resident, programmed exactly once.
     """
 
     max_batch: int = 32
     max_wait: int = 4
     policy: str = "round-robin"
-    cache_capacity: int | None = None
     seed: int = 0
     self_tuning: SelfTuningConfig | None = None
     backend: str | ChipBackend = "fake-quant"
@@ -130,7 +116,6 @@ class ServeConfig:
     health: HealthConfig = HealthConfig()
     continuous: bool = False
     fused: bool = True
-    shards: int = 0
     max_resident_chips: int | None = None
 
 
@@ -428,20 +413,13 @@ class InferenceEngine:
             "serve_program_seconds", "seconds per miss-triggered chip programming",
             lo=1e-6, hi=1e3,
         )
-        capacity = config.cache_capacity
-        if config.max_resident_chips is not None:
-            if config.max_resident_chips < 1:
-                raise ValueError(
-                    f"max_resident_chips must be >= 1 or None, got "
-                    f"{config.max_resident_chips}"
-                )
-            capacity = (
-                config.max_resident_chips
-                if capacity is None
-                else min(capacity, config.max_resident_chips)
+        if config.max_resident_chips is not None and config.max_resident_chips < 1:
+            raise ValueError(
+                f"max_resident_chips must be >= 1 or None, got "
+                f"{config.max_resident_chips}"
             )
         self.cache = MappingCache(
-            capacity=capacity,
+            capacity=config.max_resident_chips,
             clock=self.obs.clock.now,
             on_program=self._on_program,
             on_evict=self._on_evict,
@@ -482,18 +460,6 @@ class InferenceEngine:
         #: re-raising :class:`UnstackableError` every tick until the
         #: fleet's programmed state actually changes.
         self._fused_failed_key: tuple | None = None
-        if config.shards < 0:
-            raise ValueError(f"shards must be >= 0, got {config.shards}")
-        #: Contiguous fleet partition driving sharded execution (or None
-        #: for the in-process serial default).
-        self.shard_plan = (
-            ShardPlan.build(len(self.fleet), config.shards) if config.shards else None
-        )
-        self._shard_pool: ShardPool | None = None
-        #: Per-chip programmed-state epoch: bumped whenever something other
-        #: than drift mutates the chip's programmed state (fault pinning,
-        #: recalibration), so shard workers drop and rebuild their copy.
-        self._shard_epochs: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Fleet programming
@@ -626,14 +592,6 @@ class InferenceEngine:
             chip.mapping_stale = False
         return programmed
 
-    def _mapping_for(self, chip: FleetChip):
-        """Backwards-compatible pre-backend accessor: the chip's mapping Module.
-
-        New code should use :meth:`programmed_for` and talk to the
-        :class:`~repro.backends.ProgrammedChip` protocol instead.
-        """
-        return self.programmed_for(chip).mapping
-
     def reprogram(self, chip: FleetChip) -> int:
         """Rewrite one chip's mapping through its owning backend.
 
@@ -643,7 +601,6 @@ class InferenceEngine:
         invalidated (0 when the chip was not resident).
         """
         invalidated = int(self.cache.invalidate(self.key_for(chip)))
-        self._bump_shard_epoch(chip)
         self.programmed_for(chip)
         return invalidated
 
@@ -678,7 +635,6 @@ class InferenceEngine:
         # seeing the sticky entry, once below).
         programmed = self.programmed_for(chip)
         self._sticky_faults[chip.chip_id] = (spec, int(seed))
-        self._bump_shard_epoch(chip)
         with self.obs.span("faults.inject", chip=chip.chip_id) as span:
             stuck = programmed.apply_faults(spec, seed=int(seed))
             span.set(stuck=stuck)
@@ -812,101 +768,8 @@ class InferenceEngine:
             self._dispatch_tick(self.batcher.ready(self.now))
         return request
 
-    def _dispatch(self, batch: Batch) -> list[ServedRequest]:
-        obs = self.obs
-        clock = obs.clock
-        # Shed requests whose deadline already lapsed in the queue: serving
-        # them cannot meet the SLO, and their crossbar time is better spent
-        # on requests that can still make it.
-        live = []
-        for request in batch.requests:
-            if request.deadline is not None and request.deadline < self.now:
-                self._dead_letter(
-                    request,
-                    "deadline",
-                    "expired-queued",
-                    attempts=self._attempts.get(request.id, 0),
-                )
-            else:
-                live.append(request)
-        if not live:
-            return []
-        if len(live) != len(batch.requests):
-            batch = Batch(live, formed=batch.formed)
-        obs.event(
-            "queue_wait",
-            batch=batch.size,
-            wait_ticks=batch.max_queue_ticks(),
-            headroom=batch.headroom(),
-            tick=self.now,
-        )
-        with obs.span("dispatch", tick=self.now, batch=batch.size) as dispatch_span:
-            with obs.span("schedule", policy=self.policy.name) as span:
-                candidates = dispatchable(self.fleet)
-                if not candidates:
-                    span.set(chip=None)
-                    dispatch_span.set(failed="no-capacity")
-                    self._handle_failed_batch(batch, cause="no-capacity")
-                    return []
-                chip = self.policy.choose(batch, candidates)
-                span.set(chip=chip.chip_id)
-            inputs = batch.inputs()
-            outcome = self._attempt(chip, batch, inputs)
-            if outcome is None and self.config.retry.hedge:
-                backup = self._hedge_candidate(chip)
-                if backup is not None:
-                    self.telemetry.record_hedge(chip.chip_id, backup.chip_id)
-                    obs.event(
-                        "hedge",
-                        primary=chip.chip_id,
-                        backup=backup.chip_id,
-                        tick=self.now,
-                    )
-                    outcome = self._attempt(backup, batch, inputs)
-                    if outcome is not None:
-                        chip = backup
-            if outcome is None:
-                dispatch_span.set(chip=chip.chip_id, failed=self._last_fault_kind)
-                self._handle_failed_batch(batch, cause=self._last_fault_kind)
-                return []
-            outputs, seconds, energy_uj = outcome
-            dispatch_span.set(chip=chip.chip_id, seconds=seconds, energy_uj=energy_uj)
-        if energy_uj is not None:
-            chip.energy_uj += energy_uj
-        chip.served_samples += batch.size
-        chip.served_batches += 1
-        completed_wall = clock.now()
-        served = []
-        for row, request in enumerate(batch.requests):
-            done = ServedRequest(
-                id=request.id,
-                output=outputs[row],
-                chip_id=chip.chip_id,
-                queue_ticks=batch.formed - request.arrival,
-                deadline=request.deadline,
-                completed_tick=self.now,
-            )
-            if request.deadline is not None:
-                self.telemetry.record_deadline(
-                    self.now, request.deadline - self.now
-                )
-            self._completed[request.id] = done
-            self._attempts.pop(request.id, None)
-            self._first_arrival.pop(request.id, None)
-            submitted_wall = self._submit_walls.pop(request.id, None)
-            if submitted_wall is not None:
-                self.telemetry.record_request_latency(completed_wall - submitted_wall)
-            served.append(done)
-        self.telemetry.record_batch(
-            chip.chip_id,
-            [item.queue_ticks for item in served],
-            seconds,
-            energy_uj=energy_uj,
-        )
-        return served
-
     # ------------------------------------------------------------------
-    # Fused cross-chip dispatch
+    # Dispatch: stage -> execute -> complete
     # ------------------------------------------------------------------
     def _fusible(self) -> bool:
         """Whether this tick's batches may take the fused path at all.
@@ -965,93 +828,39 @@ class InferenceEngine:
         return self._fused
 
     def _dispatch_tick(self, batches) -> list[ServedRequest]:
-        """Dispatch one tick's due batches, fusing them when possible.
+        """Dispatch one tick's due batches: ``stage -> execute -> complete``.
 
-        The per-chip fallback (``_dispatch`` per batch) and the fused
-        group produce bit-identical outputs and telemetry digests; the
-        fused path just executes the whole group in one stacked forward.
+        Every batch is admitted by :meth:`_stage` and settled by
+        :meth:`_complete`; only the executor differs.  Several batches on a
+        fusible fleet run as one stacked forward (:meth:`_execute_fused`),
+        anything else runs batch by batch on its own chip
+        (:meth:`_execute_per_chip`).  Both give bit-identical outputs and
+        telemetry digests.
         """
         batches = list(batches)
         if not batches:
             return []
-        if self._shardable():
-            served = self._dispatch_sharded(batches)
-            if served is not None:
-                return served
         fused = None
         if len(batches) > 1 and self._fusible():
             fused = self._fused_for()
-        if fused is None:
-            served = []
-            for batch in batches:
-                served.extend(self._dispatch(batch))
-            return served
-        clock = self.obs.clock
-        served: list[ServedRequest] = []
-        with self.obs.span(
-            "dispatch.fused", tick=self.now, batches=len(batches)
-        ) as span:
-            staged = [
-                item
-                for item in (self._stage(batch) for batch in batches)
-                if item is not None
-            ]
-            if not staged:
-                span.set(staged=0)
-                return []
-            programmed = [chip_state for _, _, chip_state, _, _ in staged]
-            if not fused.covers(programmed):
-                # A cold chip was programmed during staging (new object
-                # identity) — rebuild once from the now-warm fleet.
-                fused = self._fused_for()
-            if fused is not None and fused.covers(programmed):
-                started = clock.now()
-                outputs = fused.forward(
-                    [(chip_state, inputs) for _, _, chip_state, inputs, _ in staged]
-                )
-                total_seconds = clock.now() - started
-                self.telemetry.record_fused_group(len(staged))
-                span.set(staged=len(staged), seconds=total_seconds)
-                total_rows = sum(batch.size for batch, _, _, _, _ in staged)
-                for (batch, chip, _, _, energy_uj), out in zip(staged, outputs):
-                    # Attribute wall time by row share: service-time
-                    # histograms are report-only (digest excludes wall).
-                    seconds = total_seconds * (batch.size / total_rows)
-                    served.extend(
-                        self._complete(batch, chip, out, seconds, energy_uj)
-                    )
-            else:
-                # Unstackable after staging: finish each staged batch on
-                # its own chip (the assignments are already final).
-                self.telemetry.record_fused_fallback(len(staged))
-                span.set(staged=len(staged), fallback=True)
-                for batch, chip, chip_state, inputs, energy_uj in staged:
-                    started = clock.now()
-                    out = chip_state.forward(inputs)
-                    seconds = clock.now() - started
-                    served.extend(
-                        self._complete(batch, chip, out, seconds, energy_uj)
-                    )
+        if fused is not None:
+            return self._execute_fused(fused, batches)
+        served = []
+        for batch in batches:
+            served.extend(self._execute_per_chip(batch))
         return served
 
-    def _stage(self, batch: Batch, realize: bool = True):
-        """The pre-forward half of :meth:`_dispatch`, for the fused path.
+    def _stage(self, batch: Batch, span) -> tuple[Batch, FleetChip] | None:
+        """Admit one due batch to the fleet: shed, report, schedule.
 
-        Sheds lapsed deadlines, schedules, and resolves the mapping —
-        exactly like :meth:`_dispatch` — then advances the chip's served
-        counters *immediately*, so the next batch staged this tick sees
-        the same load state a per-batch dispatch sequence would have
-        produced (load-aware policies make identical choices on both
-        paths).  Returns ``(batch, chip, programmed, inputs, energy_uj)``,
-        or ``None`` when the batch produced no dispatchable work (already
-        dead-lettered or parked for retry, exactly as ``_dispatch`` does).
-
-        ``realize=False`` is the sharded handoff: the forward runs on a
-        worker that owns the programmed chip, so the coordinator skips
-        materializing the mapping (``programmed`` comes back ``None``)
-        and prices the batch through the backend's estimator directly —
-        :meth:`~repro.backends.ProgrammedChip.cost` delegates to the same
-        ``cost_for``, so the booked energy is bit-identical.
+        Requests whose deadline lapsed in the queue are dead-lettered —
+        serving them cannot meet the SLO, and their crossbar time is better
+        spent on requests that can still make it.  The survivors report
+        their ``queue_wait`` and the policy picks a chip from the
+        dispatchable fleet.  Returns ``(live batch, chip)``, or ``None``
+        when nothing is left to execute: every request was shed, or no chip
+        can serve (the batch is parked for retry and the caller's ``span``
+        is marked failed).
         """
         obs = self.obs
         live = []
@@ -1076,46 +885,145 @@ class InferenceEngine:
             headroom=batch.headroom(),
             tick=self.now,
         )
-        with obs.span("schedule", policy=self.policy.name) as span:
+        with obs.span("schedule", policy=self.policy.name) as schedule_span:
             candidates = dispatchable(self.fleet)
             if not candidates:
-                span.set(chip=None)
+                schedule_span.set(chip=None)
+                span.set(failed="no-capacity")
                 self._handle_failed_batch(batch, cause="no-capacity")
                 return None
             chip = self.policy.choose(batch, candidates)
-            span.set(chip=chip.chip_id)
-        programmed = None
-        if realize:
-            with obs.span("mapping", chip=chip.chip_id):
-                programmed = self.programmed_for(chip)
-        inputs = batch.inputs()
-        # Book *all* per-batch chip state now, in dispatch order — load-
-        # and energy-aware policies must see exactly the fleet state a
-        # per-batch dispatch sequence would show the next batch.  The
-        # forward cannot fail on this path (no fault injector), so the
-        # health success mark and the deterministic dispatch cost do not
-        # depend on actually having run it yet.
+            schedule_span.set(chip=chip.chip_id)
+        return batch, chip
+
+    def _execute_per_chip(self, batch: Batch) -> list[ServedRequest]:
+        """Per-chip executor: one batch on its chip, hedged on failure.
+
+        Batches run one at a time, so the next batch's scheduling sees this
+        one's outcome — a failure, a hedge, or a dead chip's replacement.
+        :meth:`_attempt` books the chip's served counters only after a
+        successful forward.
+        """
+        obs = self.obs
+        with obs.span("dispatch", tick=self.now, batch=batch.size) as span:
+            staged = self._stage(batch, span)
+            if staged is None:
+                return []
+            batch, chip = staged
+            span.set(batch=batch.size)
+            inputs = batch.inputs()
+            outcome = self._attempt(chip, batch, inputs)
+            if outcome is None and self.config.retry.hedge:
+                backup = self._hedge_candidate(chip)
+                if backup is not None:
+                    self.telemetry.record_hedge(chip.chip_id, backup.chip_id)
+                    obs.event(
+                        "hedge",
+                        primary=chip.chip_id,
+                        backup=backup.chip_id,
+                        tick=self.now,
+                    )
+                    outcome = self._attempt(backup, batch, inputs)
+                    if outcome is not None:
+                        chip = backup
+            if outcome is None:
+                span.set(chip=chip.chip_id, failed=self._last_fault_kind)
+                self._handle_failed_batch(batch, cause=self._last_fault_kind)
+                return []
+            outputs, seconds, energy_uj = outcome
+            span.set(chip=chip.chip_id, seconds=seconds, energy_uj=energy_uj)
+        return self._complete(batch, chip, outputs, seconds, energy_uj)
+
+    def _execute_fused(self, fused: FusedFleetForward, batches) -> list[ServedRequest]:
+        """Fused executor: stage every batch, then one stacked forward.
+
+        Each batch's chip state is booked right after it is staged, before
+        the next batch is scheduled, so load- and energy-aware policies
+        make exactly the choices a per-chip sequence would.  Booking ahead
+        of the forward is sound because this path never runs with a fault
+        injector installed: the forward cannot fail.
+        """
+        clock = self.obs.clock
+        served: list[ServedRequest] = []
+        with self.obs.span(
+            "dispatch.fused", tick=self.now, batches=len(batches)
+        ) as span:
+            staged = []
+            for batch in batches:
+                admitted = self._stage(batch, span)
+                if admitted is None:
+                    continue
+                batch, chip = admitted
+                with self.obs.span("mapping", chip=chip.chip_id):
+                    programmed = self.programmed_for(chip)
+                inputs = batch.inputs()
+                energy_uj = self._book(chip, programmed, batch, inputs)
+                staged.append((batch, chip, programmed, inputs, energy_uj))
+            if not staged:
+                span.set(staged=0)
+                return served
+            members = [programmed for _, _, programmed, _, _ in staged]
+            if not fused.covers(members):
+                # A cold chip was programmed during staging (new object
+                # identity) — rebuild once from the now-warm fleet.
+                fused = self._fused_for()
+            if fused is not None and fused.covers(members):
+                started = clock.now()
+                outputs = fused.forward(
+                    [(programmed, inputs) for _, _, programmed, inputs, _ in staged]
+                )
+                total_seconds = clock.now() - started
+                self.telemetry.record_fused_group(len(staged))
+                span.set(staged=len(staged), seconds=total_seconds)
+                total_rows = sum(batch.size for batch, _, _, _, _ in staged)
+                for (batch, chip, _, _, energy_uj), out in zip(staged, outputs):
+                    # Attribute wall time by row share: service-time
+                    # histograms are report-only (digest excludes wall).
+                    seconds = total_seconds * (batch.size / total_rows)
+                    served.extend(
+                        self._complete(batch, chip, out, seconds, energy_uj)
+                    )
+            else:
+                # Unstackable after staging: finish each staged batch on
+                # its own chip (the assignments are already final).
+                self.telemetry.record_fused_fallback(len(staged))
+                span.set(staged=len(staged), fallback=True)
+                for batch, chip, programmed, inputs, energy_uj in staged:
+                    started = clock.now()
+                    out = programmed.forward(inputs)
+                    seconds = clock.now() - started
+                    served.extend(
+                        self._complete(batch, chip, out, seconds, energy_uj)
+                    )
+        return served
+
+    def _book(
+        self, chip: FleetChip, programmed: ProgrammedChip, batch: Batch, inputs
+    ) -> float | None:
+        """Book one served batch on its chip; returns its energy (uJ) or None.
+
+        The health success mark, the batch's deterministic energy cost, and
+        the served counters: the fleet state the next batch's scheduling
+        reads.  The per-chip executor books after a successful forward, the
+        fused executor at stage time.
+        """
         self.health.on_success(chip, self.now)
-        if realize:
-            cost = programmed.cost(inputs.shape)
-        else:
-            cost = self.backend.cost_for(self.model, inputs.shape)
+        cost = programmed.cost(inputs.shape)
         energy_uj = cost.energy_uj if cost is not None else None
         if energy_uj is not None:
             chip.energy_uj += energy_uj
         chip.served_samples += batch.size
         chip.served_batches += 1
-        return batch, chip, programmed, inputs, energy_uj
+        return energy_uj
 
     def _complete(
         self, batch: Batch, chip: FleetChip, outputs, seconds, energy_uj
     ) -> list[ServedRequest]:
-        """The post-forward half of :meth:`_dispatch`, for the fused path.
+        """Settle a served batch: complete its requests, record the batch.
 
-        Books per-request completion and batch telemetry — everything
-        :meth:`_dispatch` does after a successful attempt, *except* the
-        chip-state updates (served counters, energy, health), which
-        :meth:`_stage` already advanced in dispatch order.
+        The one place requests complete — whichever executor ran the
+        forward.  The chip's own state (served counters, energy, health)
+        was already booked by :meth:`_book`.
         """
         completed_wall = self.obs.clock.now()
         served = []
@@ -1145,136 +1053,15 @@ class InferenceEngine:
         )
         return served
 
-    # ------------------------------------------------------------------
-    # Sharded cross-process dispatch (repro.serve.shard)
-    # ------------------------------------------------------------------
-    def _shardable(self) -> bool:
-        """Whether this tick's batches may be offloaded to shard workers.
-
-        Mirrors :meth:`_fusible`'s eligibility: an installed fault
-        injector perturbs individual attempts mid-flight and self-tuning
-        is per-chip state the workers do not replicate — both route every
-        batch through the in-process path, which is also what keeps chaos
-        runs trivially digest-identical under ``--shards``.
-        """
-        return (
-            self.shard_plan is not None
-            and self.faults is None
-            and self.config.self_tuning is None
-        )
-
-    def _bump_shard_epoch(self, chip: FleetChip) -> None:
-        """Advance a chip's programmed-state epoch (workers rebuild their copy)."""
-        self._shard_epochs[chip.chip_id] = self._shard_epochs.get(chip.chip_id, 0) + 1
-
-    def _shard_ref(self, chip: FleetChip) -> ChipStateRef:
-        """Snapshot everything a worker needs to realize this chip bit-exactly.
-
-        Reads the descriptor when the chip was never realized (so shipping
-        a cold chip does not force realization on the coordinator) and the
-        live variation otherwise — drift moves only ``eps_between``, and
-        programmed state is a pure function of ``(eps_between,
-        sigma_within, seed, sticky faults)`` on both backends.
-        """
-        if chip.realized:
-            variation = chip.variation
-            eps = float(variation.eps_between)
-            sigma = float(variation.sigma_within)
-            seed = int(variation._seed)
-        else:
-            descriptor = chip.descriptor
-            eps = descriptor.eps_between
-            sigma = descriptor.sigma_within
-            seed = descriptor.seed
-        return ChipStateRef(
-            chip_id=chip.chip_id,
-            eps_between=eps,
-            sigma_within=sigma,
-            seed=seed,
-            spec=self.spec_for(chip),
-            sticky=self._sticky_faults.get(chip.chip_id),
-            epoch=self._shard_epochs.get(chip.chip_id, 0),
-        )
-
-    def _shard_pool_for(self) -> ShardPool | None:
-        """The lazily-started worker pool, or ``None`` when forking is
-        unavailable on this platform (sharding then falls back to the
-        in-process path for the whole run)."""
-        if self._shard_pool is None:
-            if not ShardPool.available():
-                self.obs.event("shard.unavailable", shards=self.shard_plan.shards)
-                self.shard_plan = None
-                return None
-            self._shard_pool = ShardPool(self.shard_plan, self.model, self.backend)
-        return self._shard_pool
-
-    def _dispatch_sharded(self, batches) -> list[ServedRequest] | None:
-        """Dispatch one tick's due batches across the shard workers.
-
-        The coordinator stages every batch in exact dispatch order (same
-        scheduling, SLO shedding, counters, and energy accounting as the
-        in-process paths — all digest-relevant state is booked here), the
-        workers run the forwards against their own programmed copies, and
-        completion runs in the original staged order, so outputs and the
-        telemetry digest are bit-identical to serial execution.  Worker
-        telemetry deltas (program counts, wall seconds) merge in canonical
-        shard order and stay report-only.  Returns ``None`` when the pool
-        cannot start, handing the tick back to the in-process paths.
-        """
-        pool = self._shard_pool_for()
-        if pool is None:
-            return None
-        clock = self.obs.clock
-        served: list[ServedRequest] = []
-        with self.obs.span(
-            "dispatch.sharded", tick=self.now, batches=len(batches)
-        ) as span:
-            staged = [
-                item
-                for item in (self._stage(batch, realize=False) for batch in batches)
-                if item is not None
-            ]
-            if not staged:
-                span.set(staged=0)
-                return served
-            work = [
-                (self.shard_plan.shard_of(chip.index), self._shard_ref(chip), inputs)
-                for _, chip, _, inputs, _ in staged
-            ]
-            started = clock.now()
-            outputs, deltas = pool.run_tick(work)
-            total_seconds = clock.now() - started
-            self.telemetry.record_shard_group(
-                len(staged), len({shard for shard, _, _ in work})
-            )
-            for shard, delta in deltas:
-                self.telemetry.record_shard_delta(shard, delta)
-            span.set(staged=len(staged), seconds=total_seconds, shards=len(deltas))
-            total_rows = sum(batch.size for batch, _, _, _, _ in staged)
-            for (batch, chip, _, _, energy_uj), out in zip(staged, outputs):
-                # Attribute wall time by row share, exactly like the fused
-                # path: service-time histograms are report-only.
-                seconds = total_seconds * (batch.size / total_rows)
-                served.extend(self._complete(batch, chip, out, seconds, energy_uj))
-        return served
-
-    def close(self) -> None:
-        """Release external resources (shard worker processes); idempotent.
-
-        Serial engines hold none, so calling this is always safe — but
-        every sharded engine should be closed (the CLI and tests do) so
-        worker processes exit promptly rather than at interpreter teardown.
-        """
-        if self._shard_pool is not None:
-            self._shard_pool.close()
-            self._shard_pool = None
-
     def _attempt(self, chip: FleetChip, batch: Batch, inputs) -> tuple | None:
         """One dispatch attempt on one chip; ``None`` means it failed.
 
+        The fault-injection point: an installed
+        :class:`~repro.serve.faults.FaultInjector` gates every attempt.
         Failures (only :class:`~repro.serve.faults.ChipFault` — anything
         else is a bug and propagates) are absorbed into telemetry and the
         health machine; a dead chip is retired (and replaced) on the spot.
+        A success books the batch on the chip (:meth:`_book`).
         """
         clock = self.obs.clock
         try:
@@ -1299,10 +1086,7 @@ class InferenceEngine:
             else:
                 self.health.on_failure(chip, self.now, reason=fault.kind)
             return None
-        self.health.on_success(chip, self.now)
-        cost = programmed.cost(inputs.shape)
-        energy_uj = cost.energy_uj if cost is not None else None
-        return outputs, seconds, energy_uj
+        return outputs, seconds, self._book(chip, programmed, batch, inputs)
 
     def _hedge_candidate(self, primary: FleetChip) -> FleetChip | None:
         """The backup chip a failed dispatch hedges to (least-loaded other)."""
@@ -1311,6 +1095,9 @@ class InferenceEngine:
             return None
         return min(others, key=lambda chip: (chip.served_samples, chip.index))
 
+    # ------------------------------------------------------------------
+    # Retries, dead letters, and the tick loop
+    # ------------------------------------------------------------------
     def _dead_letter(
         self, request: Request, reason: str, cause: str, attempts: int = 0
     ) -> None:
@@ -1548,6 +1335,12 @@ class InferenceEngine:
             for request in submitted
             if request.id in self._completed
         }
+
+    def close(self) -> None:
+        """Release external resources; a no-op, since the engine holds none.
+
+        Kept so callers that close every engine they build keep working.
+        """
 
     # ------------------------------------------------------------------
     # Introspection

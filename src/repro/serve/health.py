@@ -36,13 +36,13 @@ is :func:`repro.serve.scheduler.dispatchable`.
 Like the scheduling policies, the monitor reads and writes only the
 bookkeeping fields of a :class:`~repro.serve.engine.FleetChip` handle
 (``health``, counters) — never ``variation`` — so health tracking on a
-lazy thousand-chip fleet (:mod:`repro.serve.shard`) never forces chip
-realization.
+lazy thousand-chip fleet (:class:`~repro.serve.engine.ChipDescriptor`)
+never forces chip realization.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Every state a chip can be in, in degradation order.
 HEALTH_STATES = ("healthy", "degraded", "quarantined", "retired", "replaced")

@@ -35,12 +35,13 @@ Everything is deterministic from the engine seed, the lifecycle seed, and
 the trace: the same run reproduces the same recalibration schedule and the
 same outputs (``tests/test_serve_lifecycle.py``).
 
-On lazy large fleets (:mod:`repro.serve.shard`), installing the lifecycle
-realizes each chip's (tiny) variation object to wrap it in drift state,
-but the heavy artifacts — per-layer patterns and programmed mappings —
-are only materialized by probes, on demand, through the engine's
-capacity-bounded mapping cache; ``ServeConfig.max_resident_chips`` keeps
-probing a thousand-chip fleet within a fixed resident budget.
+On lazy large fleets (:class:`~repro.serve.engine.ChipDescriptor`),
+installing the lifecycle realizes each chip's (tiny) variation object to
+wrap it in drift state, but the heavy artifacts — per-layer patterns and
+programmed mappings — are only materialized by probes, on demand, through
+the engine's capacity-bounded mapping cache;
+``ServeConfig.max_resident_chips`` keeps probing a thousand-chip fleet
+within a fixed resident budget.
 """
 
 from __future__ import annotations

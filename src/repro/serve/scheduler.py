@@ -6,9 +6,9 @@ reproducible from a single seed.  Policies see lightweight
 :class:`~repro.serve.engine.FleetChip` handles (counters + calibration
 quality), never the programmed mappings themselves — and never the
 chip's ``variation`` either, so choosing a chip on a lazy thousand-chip
-fleet (see :mod:`repro.serve.shard`) does not force realization; a
-policy that needs new per-chip state must read it from bookkeeping the
-engine maintains on the handle.
+fleet (see :class:`~repro.serve.engine.ChipDescriptor`) does not force
+realization; a policy that needs new per-chip state must read it from
+bookkeeping the engine maintains on the handle.
 
 * ``round-robin`` — cycle through the pool regardless of state;
 * ``least-loaded`` — send the batch to the chip that has served the

@@ -123,12 +123,6 @@ class ServeTelemetry:
             "serve_fused_fallback_batches_total",
             "batches dispatched per-chip while fusion was enabled",
         )
-        self._shard_groups = self.registry.counter(
-            "serve_shard_groups_total", "sharded dispatch groups executed"
-        )
-        self._shard_batches = self.registry.counter(
-            "serve_shard_batches_total", "batches served through shard workers"
-        )
         # Tick-valued like queue_ticks: a tight low edge plus an underflow
         # bucket for the zero-headroom / zero-lateness edge.
         self.deadline_headroom = self.registry.histogram(
@@ -155,11 +149,6 @@ class ServeTelemetry:
         #: outcome — the SLO-violation-over-time series the ``--slo`` bench
         #: plots and gates on.
         self.slo_series: list[tuple[int, int, int]] = []
-        #: Accumulated per-shard worker deltas (programs, refreshes, wall
-        #: seconds), merged in canonical shard order by the engine.  Like
-        #: every wall-clock quantity these are report-only: the digest
-        #: must not see them, or sharded and serial runs could never match.
-        self.shard_deltas: dict[int, dict] = {}
         self._cache = None
 
     # ------------------------------------------------------------------
@@ -262,30 +251,6 @@ class ServeTelemetry:
         """Account ``batches`` batches dispatched per-chip despite fusion being on."""
         self._fused_fallbacks.inc(int(batches))
 
-    def record_shard_group(self, batches: int, shards: int = 1) -> None:
-        """Account one sharded dispatch group (``batches`` over ``shards``)."""
-        self._shard_groups.inc()
-        self._shard_batches.inc(int(batches))
-
-    def record_shard_delta(self, shard: int, delta: dict) -> None:
-        """Merge one worker's per-tick telemetry delta (report-only).
-
-        Counters accumulate; ``resident`` (the worker's programmed-chip
-        count) keeps the latest value.  The engine calls this in canonical
-        shard order every sharded tick, so the merged state is
-        deterministic — but none of it enters :meth:`digest`, exactly like
-        the wall-time histograms.
-        """
-        merged = self.shard_deltas.setdefault(
-            int(shard),
-            {"batches": 0, "rows": 0, "programs": 0, "refreshes": 0,
-             "program_seconds": 0.0, "resident": 0},
-        )
-        for key in ("batches", "rows", "programs", "refreshes"):
-            merged[key] += int(delta.get(key, 0))
-        merged["program_seconds"] += float(delta.get("program_seconds", 0.0))
-        merged["resident"] = int(delta.get("resident", merged["resident"]))
-
     def record_health_transition(self, transition) -> None:
         """Append one :class:`~repro.serve.health.HealthTransition`."""
         self.health_transitions.append(transition)
@@ -360,14 +325,6 @@ class ServeTelemetry:
     @property
     def fused_fallback_batches(self) -> int:
         return self._fused_fallbacks.value
-
-    @property
-    def shard_groups(self) -> int:
-        return self._shard_groups.value
-
-    @property
-    def shard_batches(self) -> int:
-        return self._shard_batches.value
 
     @property
     def slo_attainment(self) -> float:
@@ -513,14 +470,6 @@ class ServeTelemetry:
                 "groups": self.fused_groups,
                 "batches": self.fused_batches,
                 "fallback_batches": self.fused_fallback_batches,
-            },
-            "sharded": {
-                "groups": self.shard_groups,
-                "batches": self.shard_batches,
-                "workers": {
-                    str(shard): dict(delta)
-                    for shard, delta in sorted(self.shard_deltas.items())
-                },
             },
             "faults": {
                 "total": self.faults,

@@ -110,7 +110,7 @@ class ChipVariation:
         :meth:`within_pattern` query.  ``eps_between`` (including drift
         state on subclasses) and :attr:`measurements` are untouched — this
         is the spill primitive large lazy fleets use to bound resident
-        memory (see :mod:`repro.serve.shard`).
+        memory (see :class:`repro.serve.engine.ChipDescriptor`).
         """
         self._cache.clear()
 

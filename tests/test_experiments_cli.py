@@ -1,6 +1,5 @@
 """Tests for the result store and the experiments CLI."""
 
-import json
 import os
 
 import numpy as np
@@ -90,7 +89,7 @@ class TestParser:
         assert args.num_chips == 4
         assert args.max_batch == 32
         assert args.policy == "round-robin"
-        assert args.cache_capacity is None
+        assert args.max_resident_chips is None
         assert not args.skip_training
 
     def test_serve_bench_rejects_unknown_policy(self):
@@ -103,7 +102,7 @@ class TestParser:
             ["--num-chips", "0"],
             ["--max-batch", "-3"],
             ["--max-wait", "-1"],
-            ["--cache-capacity", "0"],
+            ["--max-resident-chips", "0"],
             ["--probe-k", "0"],
         ):
             with pytest.raises(SystemExit):
@@ -133,6 +132,39 @@ class TestParser:
     def test_lifetime_bench_rejects_unknown_trace(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["lifetime-bench", "--trace", "tsunami"])
+
+
+class TestBenchScale:
+    def test_records_the_fleet_the_engine_built(self):
+        """A ``--fleet`` run records its real fleet size, not ``--num-chips``."""
+        from repro.datasets.loaders import batch_iterator
+        from repro.datasets.synthetic import make_pattern_dataset
+        from repro.experiments.cli import _bench_scale, _fleet_spec
+        from repro.models import build_model
+        from repro.quant.calibration import calibrate_model
+        from repro.quant.ptq import convert_to_quantized
+        from repro.quant.qconfig import QConfig
+        from repro.serve import InferenceEngine, ServeConfig
+        from repro.variability.models import WeightProportionalVariance
+        from repro.variability.sampler import VariabilitySpec
+
+        dataset = make_pattern_dataset(5, 8, (1, 28, 28), seed=7)
+        model = build_model("lenet5-mini", num_classes=5, in_channels=1)
+        convert_to_quantized(model, QConfig.from_notation("A4W2"))
+        calibrate_model(model, batch_iterator(dataset, 8, shuffle=False), max_batches=1)
+        args = build_parser().parse_args(
+            ["lifetime-bench", "--fleet", "rram:2,flash:3"]
+        )
+        engine = InferenceEngine(
+            model,
+            VariabilitySpec.mixed(0.2, WeightProportionalVariance()),
+            args.num_chips,
+            ServeConfig(),
+            fleet_spec=_fleet_spec(args),
+        )
+        scale = _bench_scale(args, engine)
+        assert args.num_chips == 4
+        assert scale["num_chips"] == 5
 
 
 class TestCliEndToEnd:

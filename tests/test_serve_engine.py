@@ -162,7 +162,7 @@ class TestCacheIntegration:
     def test_small_cache_forces_reprogramming(self, served_model):
         model, dataset = served_model
         engine = _engine(
-            model, num_chips=3, max_batch=4, max_wait=0, cache_capacity=1
+            model, num_chips=3, max_batch=4, max_wait=0, max_resident_chips=1
         )
         engine.run(dataset.images[:24])
         assert engine.cache.stats.misses > 3
@@ -174,7 +174,7 @@ class TestCacheIntegration:
         ids = [f"r{i:03d}" for i in range(24)]
         roomy = _engine(model, num_chips=3, max_batch=4, max_wait=0, seed=5)
         tight = _engine(
-            model, num_chips=3, max_batch=4, max_wait=0, seed=5, cache_capacity=1
+            model, num_chips=3, max_batch=4, max_wait=0, seed=5, max_resident_chips=1
         )
         full = roomy.run(dataset.images[:24], ids=ids)
         evicting = tight.run(dataset.images[:24], ids=ids)
@@ -219,7 +219,7 @@ class TestSelfTuningAndProbe:
             model, self_tuning=SelfTuningConfig(kind="global", gtm_cells=100)
         )
         engine.run(dataset.images[:8])
-        mapping = engine._mapping_for(engine.fleet[0])
+        mapping = engine.programmed_for(engine.fleet[0]).mapping
         for _, layer in quantized_layers(mapping):
             assert layer.self_tuner is not None
         for _, layer in quantized_layers(model):

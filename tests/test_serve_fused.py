@@ -3,8 +3,8 @@
 ``ServeConfig(fused=True)`` vs ``fused=False`` must be *indistinguishable*
 in everything the engine accounts for: per-request logits (bit-equal),
 chip assignments, and the telemetry digest — across tick-barrier and
-replay-trace admission, under mid-run recalibration, fault maps, and
-spare provisioning, on both backends.  Chaos runs fall back to per-chip
+replay-trace admission, under mid-run recalibration, drift, fault maps,
+and spare provisioning, on both backends.  Chaos runs fall back to per-chip
 dispatch automatically, so parity there is structural, and asserted too.
 """
 
@@ -20,9 +20,12 @@ from repro.quant.ptq import convert_to_quantized
 from repro.quant.qconfig import QConfig
 from repro.selftuning.tuner import SelfTuningConfig
 from repro.serve import (
+    ChipLifecycle,
     FaultInjector,
     FaultPlan,
+    FleetSpec,
     InferenceEngine,
+    LifecycleConfig,
     ReplayTrace,
     ServeConfig,
     UniformTrace,
@@ -185,6 +188,39 @@ def test_fused_parity_across_fault_map_and_replacement(served_model):
     _assert_equivalent(*engines)
     assert engines[0].telemetry.fused_groups > 0
 
+
+
+@pytest.mark.parametrize("backend", ["fake-quant", "circuit"])
+def test_fused_parity_under_drifting_lifecycle(served_model, backend):
+    """The lifecycle drifts every chip between ticks, so mappings refresh
+    in place and the stack rebuilds; serving stays bit-identical."""
+    model, dataset = served_model
+    workload = _workload(dataset, 60)
+    ids = [f"d{i:04d}" for i in range(len(workload))]
+    trace = ReplayTrace.from_trace(UniformTrace(rate=12.0), len(ids))
+    lifecycle_config = LifecycleConfig(
+        dt=1.0, probe_every=6.0, accuracy_floor=0.95, probe_subset=16, seed=3
+    )
+    results = []
+    for fused in (True, False):
+        engine = InferenceEngine(
+            model,
+            _spec(),
+            config=ServeConfig(
+                max_batch=4, max_wait=2, seed=5, backend=backend, fused=fused
+            ),
+            fleet_spec=FleetSpec.parse("rram:2,flash:2"),
+        )
+        lifecycle = ChipLifecycle(engine, dataset, lifecycle_config)
+        lifecycle.install()
+        outputs = engine.run_trace(workload, trace, ids=ids, lifecycle=lifecycle)
+        results.append((engine, lifecycle, outputs))
+    (fused, life_f, out_f), (plain, life_p, out_p) = results
+    assert fused.telemetry.fused_groups > 0
+    assert set(out_f) == set(out_p)
+    assert all(np.array_equal(out_f[rid], out_p[rid]) for rid in out_p)
+    assert fused.telemetry.digest() == plain.telemetry.digest()
+    assert len(life_f.events) == len(life_p.events)
 
 def test_self_tuning_disables_fusion(served_model):
     model, dataset = served_model

@@ -32,6 +32,13 @@ Because the GEMMs are per-slice, groups do **not** require equal batch
 sizes — the merge only amortizes interpreter, im2col, quantization, and
 activation traffic across the fleet.
 
+Quality probes send one batch through every chip.  For that shape,
+:meth:`FusedFleetForward.forward_shared` runs each chip as its own
+one-chip group and shares only the first stacked layer's input work (the
+*stem*) across the stack's members.  A merged probe group would multiply
+every downstream temporary by the member count, and measured slower
+(``docs/serving.md``).
+
 Effective per-chip state is snapshotted at build time, so a stack is a
 *derived view* that goes stale whenever a member chip mutates.  Each
 :class:`~repro.backends.base.ProgrammedChip` carries a ``version``
@@ -42,6 +49,8 @@ replacement create new chip objects, which fail the identity check).
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -78,12 +87,35 @@ class _FusedLayerBase(Module):
     trainable); it reads the active group context — ``(idx, bounds)``,
     the member-stack positions and merged-row boundaries of the group's
     per-chip batches — from its owning :class:`FusedFleetForward` on
-    every call.
+    every call.  ``owner`` is a weak proxy: the stack owns its template,
+    so a strong back-reference would keep every dropped stack (and its
+    member chips) alive until a full garbage collection.
     """
 
     def __init__(self, owner: "FusedFleetForward") -> None:
         super().__init__()
         object.__setattr__(self, "owner", owner)
+
+    def _prepared(self, x) -> np.ndarray:
+        """The layer's chip-independent input work, :meth:`_prepare` of ``x``.
+
+        Shared through the owner's stem cache when this is the first
+        stacked layer of a :meth:`FusedFleetForward.forward_shared` call.
+        """
+        data = x.data if isinstance(x, Tensor) else np.asarray(x)
+        return self.owner._stem(data, self._prepare)
+
+    def _prepare(self, data: np.ndarray) -> np.ndarray:  # pragma: no cover
+        raise NotImplementedError
+
+
+def _quantize_activations(qlayer, data: np.ndarray) -> np.ndarray:
+    """The fake-quant input quantizer, elementwise and in the unfused order."""
+    if not qlayer.qconfig.quantize_activations:
+        return data
+    spec = qlayer.act_spec
+    codes = np.clip(np.rint(data / float(qlayer.act_scale)), spec.qmin, spec.qmax)
+    return codes * float(qlayer.act_scale)
 
 
 def _sliced_matmul(flat: np.ndarray, idx, bounds, scale: int, stacks) -> np.ndarray:
@@ -119,17 +151,14 @@ class _FusedQuantLinear(_FusedLayerBase):
         # layer's _quantize_weight() output, bit-identical per element.
         object.__setattr__(self, "stacks", stacks)
 
+    def _prepare(self, data):
+        return _quantize_activations(self.qlayer, data)
+
     def forward(self, x):
         idx, bounds = self.owner._group
-        qlayer = self.qlayer
-        data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        if qlayer.qconfig.quantize_activations:
-            spec = qlayer.act_spec
-            codes = np.clip(np.rint(data / float(qlayer.act_scale)), spec.qmin, spec.qmax)
-            data = codes * float(qlayer.act_scale)
-        out = _sliced_matmul(data, idx, bounds, 1, self.stacks)
-        if qlayer.bias is not None:
-            out = out + qlayer.bias.data
+        out = _sliced_matmul(self._prepared(x), idx, bounds, 1, self.stacks)
+        if self.qlayer.bias is not None:
+            out = out + self.qlayer.bias.data
         return Tensor(out)
 
 
@@ -149,22 +178,22 @@ class _FusedQuantConv2d(_FusedLayerBase):
         # Per chip, (C*kh*kw, out_channels) flattened-transposed weights.
         object.__setattr__(self, "stacks", stacks)
 
+    def _prepare(self, data):
+        qlayer = self.qlayer
+        kernel = (qlayer.kernel_size, qlayer.kernel_size)
+        return im2col(
+            _quantize_activations(qlayer, data), kernel, qlayer.stride, qlayer.padding
+        )
+
     def forward(self, x):
         idx, bounds = self.owner._group
-        qlayer = self.qlayer
-        data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        if qlayer.qconfig.quantize_activations:
-            spec = qlayer.act_spec
-            codes = np.clip(np.rint(data / float(qlayer.act_scale)), spec.qmin, spec.qmax)
-            data = codes * float(qlayer.act_scale)
-        kernel = (qlayer.kernel_size, qlayer.kernel_size)
-        cols = im2col(data, kernel, qlayer.stride, qlayer.padding)
+        cols = self._prepared(x)
         total, h_out, w_out, patch = cols.shape
         flat = cols.reshape(-1, patch)
         out = _sliced_matmul(flat, idx, bounds, h_out * w_out, self.stacks)
         out = out.reshape(total, h_out, w_out, -1).transpose(0, 3, 1, 2)
-        if qlayer.bias is not None:
-            out = out + qlayer.bias.data.reshape((1, -1, 1, 1))
+        if self.qlayer.bias is not None:
+            out = out + self.qlayer.bias.data.reshape((1, -1, 1, 1))
         return Tensor(out)
 
 
@@ -202,11 +231,12 @@ class _FusedMappedBase(_FusedLayerBase):
 class _FusedMappedLinear(_FusedMappedBase):
     """Fleet-shared :class:`~repro.pim.chip.MappedLinear` dispatch."""
 
+    def _prepare(self, data):
+        return np.atleast_2d(np.asarray(data, dtype=np.float64))
+
     def forward(self, x):
         idx, bounds = self.owner._group
-        data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        flat = np.atleast_2d(np.asarray(data, dtype=np.float64))
-        out = self._per_chip_mvm(flat, idx, bounds, 1)
+        out = self._per_chip_mvm(self._prepared(x), idx, bounds, 1)
         qlayer = self.mapped_layers[idx[0]].qlayer
         if qlayer.bias is not None:
             out = out + qlayer.bias.data
@@ -223,14 +253,18 @@ class _FusedMappedConv2d(_FusedMappedBase):
     rows the unfused layer would.
     """
 
+    def _prepare(self, data):
+        qlayer = self.mapped_layers[0].qlayer
+        kernel = (qlayer.kernel_size, qlayer.kernel_size)
+        return im2col(
+            np.asarray(data, dtype=np.float64), kernel, qlayer.stride, qlayer.padding
+        )
+
     def forward(self, x):
         idx, bounds = self.owner._group
         first = self.mapped_layers[idx[0]]
         qlayer = first.qlayer
-        data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        data = np.asarray(data, dtype=np.float64)
-        kernel = (qlayer.kernel_size, qlayer.kernel_size)
-        patches = im2col(data, kernel, qlayer.stride, qlayer.padding)
+        patches = self._prepared(x)
         total, h_out, w_out, patch = patches.shape
         out = self._per_chip_mvm(patches.reshape(-1, patch), idx, bounds, h_out * w_out)
         out = out.reshape(total, h_out, w_out, first.d_out).transpose(0, 3, 1, 2)
@@ -249,17 +283,26 @@ class FusedFleetForward:
     :class:`~repro.backends.base.ProgrammedChip` list (raises
     :class:`UnstackableError` when the fleet cannot be stacked), check
     freshness with :meth:`covers`, and execute a group of per-chip
-    batches with :meth:`forward`.  Instances hold strong references to
-    their member chips, so an ``(identity, version)`` pair can never be
-    recycled by the allocator while the stack is alive.
+    batches with :meth:`forward` (or one member on a batch every member
+    sees with :meth:`forward_shared`).  Instances hold strong references
+    to their member chips, so an ``(identity, version)`` pair can never
+    be recycled by the allocator while the stack is alive; nothing holds
+    the stack in a reference cycle, so dropping it frees those chips at
+    once.
     """
 
-    def __init__(self, members, template, backend: str) -> None:
+    def __init__(self, members, backend: str) -> None:
         self._members = list(members)
-        self._template = template
+        self._template = None
         self._index = {id(chip): pos for pos, chip in enumerate(self._members)}
         self._versions = [chip.version for chip in self._members]
         self._group = None
+        #: The batch of the running :meth:`forward_shared` call, until the
+        #: first stacked layer takes it.
+        self._shared = None
+        #: ``[(bits, stem)]``: the first stacked layer's prepared input per
+        #: distinct shared batch (see :meth:`_stem`).
+        self._stems: list[tuple[tuple, np.ndarray]] = []
         self.backend = backend
 
     # ------------------------------------------------------------------
@@ -278,17 +321,16 @@ class FusedFleetForward:
         if not chips:
             raise UnstackableError("cannot fuse an empty fleet")
         if all(isinstance(chip, FakeQuantChip) for chip in chips):
-            template = cls._fakequant_template(chips, owner_slot := _OwnerSlot())
-            fused = cls(chips, template, backend="fake-quant")
+            fused = cls(chips, backend="fake-quant")
+            fused._template = cls._fakequant_template(chips, weakref.proxy(fused))
         elif all(isinstance(chip, CircuitChip) for chip in chips):
-            template = cls._circuit_template(chips, owner_slot := _OwnerSlot())
-            fused = cls(chips, template, backend="circuit")
+            fused = cls(chips, backend="circuit")
+            fused._template = cls._circuit_template(chips, weakref.proxy(fused))
         else:
             raise UnstackableError(
                 "mixed or unknown chip backends: "
                 + ", ".join(sorted({type(chip).__name__ for chip in chips}))
             )
-        owner_slot.resolve(fused)
         return fused
 
     @classmethod
@@ -395,22 +437,24 @@ class FusedFleetForward:
     def _swap_template(mapping: Module, leaf_types, make_adapter) -> Module:
         """Structural clone of ``mapping`` with leaf layers swapped for adapters.
 
-        Same recursive walk as :func:`~repro.pim.chip.deploy_model`, so a
-        path here names the same layer the backends name — non-leaf
+        Walks the same dotted paths as :func:`~repro.pim.chip.deploy_model`,
+        so a path here names the same layer the backends name — non-leaf
         modules come from :func:`replicate_for_programming` (their state
-        aliases the golden model and is identical across chips).
+        aliases the golden model and is identical across chips).  The walk
+        is a plain loop: a recursive closure would refer to itself and
+        keep ``make_adapter`` (and the stacked weights it closes over)
+        alive in a reference cycle.
         """
         clone = replicate_for_programming(mapping)
-
-        def convert(module, prefix):
+        pending = [(clone, "")]
+        while pending:
+            module, prefix = pending.pop()
             for name, child in list(module._modules.items()):
                 path = prefix + name
                 if isinstance(child, leaf_types):
                     setattr(module, name, make_adapter(path, child))
                 else:
-                    convert(child, path + ".")
-
-        convert(clone, "")
+                    pending.append((child, path + "."))
         return clone
 
     # ------------------------------------------------------------------
@@ -467,6 +511,46 @@ class FusedFleetForward:
             self._group = None
         return [outputs[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
+    def forward_shared(self, chip: ProgrammedChip, inputs) -> np.ndarray:
+        """One member's forward of a batch that every member sees.
+
+        The probe-sweep entry point.  ``chip`` runs as a one-chip group,
+        so each of its GEMMs multiplies the whole batch by that chip's
+        weights: the BLAS call ``chip.forward(inputs)`` makes, and the
+        same bits out.  What the group shares is the *stem*: the first
+        stacked layer's prepared input (activation quantization and the
+        im2col patch matrix on the fake-quant path, the patch matrix on
+        the circuit path), computed once per distinct batch for the life
+        of the stack and reused by every member.
+        """
+        inputs = np.asarray(inputs)
+        self._shared = inputs
+        try:
+            return self.forward([(chip, inputs)])[0]
+        finally:
+            self._shared = None
+
+    def _stem(self, data: np.ndarray, prepare) -> np.ndarray:
+        """``prepare(data)``, from the stem cache for a shared batch's first layer.
+
+        Only the first stacked layer of a :meth:`forward_shared` call takes
+        the shared batch.  Every module in front of it aliases the golden
+        model and the stack refuses per-chip activation scales, so its
+        prepared input is a pure function of the batch: batches that match
+        bit for bit share one read-only stem.
+        """
+        shared, self._shared = self._shared, None
+        if shared is None:
+            return prepare(data)
+        bits = (shared.shape, shared.dtype.str, shared.tobytes())
+        for key, stem in self._stems:
+            if key == bits:
+                return stem
+        stem = prepare(data).view()
+        stem.flags.writeable = False
+        self._stems.append((bits, stem))
+        return stem
+
     def describe(self) -> dict:
         """Stack provenance (JSON-friendly)."""
         return {
@@ -477,22 +561,3 @@ class FusedFleetForward:
     def __repr__(self) -> str:
         ids = ", ".join(chip.chip_id for chip in self._members)
         return f"FusedFleetForward([{ids}], backend={self.backend!r})"
-
-
-class _OwnerSlot:
-    """Late-bound owner reference for adapters built before their stack.
-
-    The template's adapters need the :class:`FusedFleetForward` for group
-    context, but the stack object is constructed *after* its template.
-    This proxy forwards ``_group`` lookups once :meth:`resolve` is called.
-    """
-
-    def __init__(self) -> None:
-        self._owner = None
-
-    def resolve(self, owner: FusedFleetForward) -> None:
-        self._owner = owner
-
-    @property
-    def _group(self):
-        return self._owner._group

@@ -837,6 +837,8 @@ def _cmd_lifetime_bench(args) -> int:
     best = max(runs, key=lambda run: run["end_accuracy"])
     print(f"\nbest end-of-trace policy: {best['policy']} "
           f"({100 * best['end_accuracy']:.1f}%)")
+    for run in runs:
+        print(f"telemetry digest: {run['engine'].telemetry.digest()} ({run['policy']})")
     store = ResultStore(args.results_dir)
     path = store.save(f"lifetime-bench-{args.model}", _drift_record(args, runs))
     print(f"saved: {path}")

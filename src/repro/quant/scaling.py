@@ -8,11 +8,13 @@ from repro.quant.quantizer import QuantSpec, quantize
 
 
 def minmax_scale(x: np.ndarray, spec: QuantSpec) -> float:
-    """Scale that maps the largest magnitude onto the last level."""
-    peak = float(np.max(np.abs(x)))
-    if peak == 0.0:
-        return 1.0
-    return peak / spec.qmax
+    """Scale that maps the largest magnitude onto the last level.
+
+    1.0 when that scale is zero: an all-zero tensor, or a subnormal peak
+    whose quotient underflows (a zero scale would divide by zero).
+    """
+    scale = float(np.max(np.abs(x))) / spec.qmax
+    return scale if scale > 0.0 else 1.0
 
 
 def quantization_mse(x: np.ndarray, scale: float, spec: QuantSpec) -> float:

@@ -23,6 +23,7 @@ because both backends treat batch rows independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -701,31 +702,78 @@ class InferenceEngine:
         return replacement
 
     def probe_fleet(
-        self, dataset, k: int = 1, batch_size: int = 64
+        self, dataset, k: int = 1, batch_size: int = 64, chips=None
     ) -> dict[str, float]:
-        """Measure per-chip calibration quality on a labelled probe set.
+        """The probe sweep: per-chip quality on a labelled probe set.
 
-        Runs the probe set through each chip's mapping and stores top-``k``
-        accuracy on the chip handle — the signal the accuracy-weighted
-        scheduling policy uses.  Returns ``{chip_id: quality}``.
+        Runs the probe set through every chip in ``chips`` (default: the
+        whole fleet) and stores top-``k`` accuracy on each chip handle —
+        the signal the quality-aware scheduling policies read.  Returns
+        ``{chip_id: quality}`` in ``chips`` order.
+
+        The walk probes cache-resident chips first, then the rest, in
+        chunks of at most ``max_resident_chips``, so a sweep programs only
+        the chips that were not resident.  With ``ServeConfig.fused`` each
+        chunk is stacked into one :class:`~repro.backends.FusedFleetForward`
+        whose first layer works on the probe batch once per chunk; each
+        chip then runs as its own one-chip group (bit-identical to
+        :meth:`probe_chip` alone).  A chunk that cannot be stacked
+        (self-tuning, noisy ADCs, mixed backends) is probed chip by chip.
         """
-        return {
-            chip.chip_id: self.probe_chip(chip, dataset, k=k, batch_size=batch_size)
-            for chip in self.fleet
-        }
+        chips = list(self.fleet if chips is None else chips)
+        # Resident first; the stable sort keeps fleet order within each group.
+        walk = sorted(chips, key=lambda chip: self.cache.peek(self.key_for(chip)) is None)
+        size = self.config.max_resident_chips or max(1, len(walk))
+        qualities = {}
+        for start in range(0, len(walk), size):
+            chunk = walk[start : start + size]
+            stack = self._probe_stack(chunk)
+            for chip in chunk:
+                qualities[chip.chip_id] = self.probe_chip(
+                    chip, dataset, k=k, batch_size=batch_size, stack=stack
+                )
+            # Release the chunk's programmed chips before the next chunk
+            # programs: the resident budget bounds live mappings too.
+            stack = None
+        return {chip.chip_id: qualities[chip.chip_id] for chip in chips}
+
+    def _probe_stack(self, chunk: list[FleetChip]) -> FusedFleetForward | None:
+        """Program a probe chunk and stack it; None when it cannot be stacked."""
+        if not self.config.fused:
+            return None
+        try:
+            return FusedFleetForward.build([self.programmed_for(chip) for chip in chunk])
+        except UnstackableError:
+            return None
 
     def probe_chip(
-        self, chip: FleetChip, dataset, k: int = 1, batch_size: int = 64
+        self,
+        chip: FleetChip,
+        dataset,
+        k: int = 1,
+        batch_size: int = 64,
+        stack: FusedFleetForward | None = None,
     ) -> float:
-        """Probe one chip's current quality and store it on the handle."""
-        programmed = self.programmed_for(chip)
-        logits, targets = [], []
-        for inputs, labels in batch_iterator(dataset, batch_size, shuffle=False):
-            logits.append(programmed.forward(inputs))
-            targets.append(labels)
-        chip.quality = topk_accuracy(
-            np.concatenate(logits), np.concatenate(targets), k=k
-        )
+        """Probe one chip's current quality and store it on the handle.
+
+        ``stack`` is a probe sweep's chunk stack: when it covers the chip,
+        the chip runs through :meth:`FusedFleetForward.forward_shared`,
+        reusing the stack's first-layer work on the probe batch.
+        """
+        with self.obs.span("probe", chip=chip.chip_id) as span:
+            programmed = self.programmed_for(chip)
+            shared = stack is not None and stack.covers([programmed])
+            forward = (
+                partial(stack.forward_shared, programmed) if shared else programmed.forward
+            )
+            logits, targets = [], []
+            for inputs, labels in batch_iterator(dataset, batch_size, shuffle=False):
+                logits.append(forward(inputs))
+                targets.append(labels)
+            chip.quality = topk_accuracy(
+                np.concatenate(logits), np.concatenate(targets), k=k
+            )
+            span.set(quality=chip.quality, shared=shared)
         return chip.quality
 
     # ------------------------------------------------------------------

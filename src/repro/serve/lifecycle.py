@@ -67,9 +67,14 @@ class LifecycleConfig:
     for strong and weak models alike (an absolute floor would either never
     fire on an untrained model or always fire on a noisy chip).
     ``probe_subset`` bounds how many probe-set samples each quality probe
-    consumes (probing is a full forward pass per chip, the lifecycle's one
-    expensive operation).  With ``scale_by_technology`` (default) each
-    chip's drift process is scaled by its device technology's severity
+    consumes.  Probing is the lifecycle's one expensive operation: every
+    probe round is one :meth:`~repro.serve.engine.InferenceEngine.probe_fleet`
+    sweep.  It programs only the chips that were not resident and, with
+    ``ServeConfig.fused``, computes the first layer's quantized patch
+    matrix of the subset once per resident chunk, running only the
+    remaining layers per chip.  With
+    ``scale_by_technology`` (default) each chip's drift process is scaled
+    by its device technology's severity
     (:attr:`repro.pim.devices.DeviceModel.drift_scale`), so a mixed fleet
     ages heterogeneously — the regime the drift-aware schedulers exist for.
 
@@ -110,6 +115,13 @@ class LifecycleConfig:
             raise ValueError("accuracy_floor must be in (0, 1]")
         if self.probe_subset < 1:
             raise ValueError("probe_subset must be >= 1")
+        if self.probe_k < 1:
+            raise ValueError("probe_k must be >= 1")
+        if self.predict_beta < 0.0:
+            raise ValueError("predict_beta must be >= 0")
+        # The drift process checks its own parameters (nu, t0, theta):
+        # fail here, not at install() or the first advance.
+        self.make_process()
 
     def make_process(self, scale: float = 1.0) -> DriftProcess:
         """A fresh drift process instance (one per chip per program cycle)."""
@@ -182,9 +194,10 @@ class ChipLifecycle:
         # Spare provisioning swaps fresh silicon into the fleet mid-run;
         # adopt it into the drift clock so replacements age like everyone.
         self.engine.on_chip_replaced.append(self._adopt_replacement)
-        for chip in self.engine.fleet:
-            quality = self._probe(chip)
-            self._baseline[chip.chip_id] = quality
+        chips = list(self.engine.fleet)
+        qualities = self._sweep(chips)
+        for chip in chips:
+            self._baseline[chip.chip_id] = self._book(chip, qualities[chip.chip_id])
         return dict(self._baseline)
 
     def _adopt_replacement(self, old_chip: FleetChip, new_chip: FleetChip) -> None:
@@ -258,14 +271,20 @@ class ChipLifecycle:
     # ------------------------------------------------------------------
     # Quality monitor + recalibration
     # ------------------------------------------------------------------
-    def _probe(self, chip: FleetChip) -> float:
-        with self.engine.obs.span(
-            "lifecycle.probe", chip=chip.chip_id, time=self.time
-        ) as span:
-            quality = self.engine.probe_chip(
-                chip, self._probe_data, k=self.config.probe_k
+    def _sweep(self, chips: list[FleetChip]) -> dict[str, float]:
+        """Probe ``chips`` in one engine sweep: ``{chip_id: quality}``."""
+        with self.engine.obs.span("lifecycle.probe", chips=len(chips), time=self.time):
+            return self.engine.probe_fleet(
+                self._probe_data, k=self.config.probe_k, chips=chips
             )
-            span.set(quality=quality)
+
+    def _book(self, chip: FleetChip, quality: float) -> float:
+        """Book one probed quality: telemetry, anchor, baseline, health.
+
+        Sweeps book in fleet order, each chip's recalibration right after
+        its own booking, so the telemetry digest does not depend on the
+        order the sweep probed in.
+        """
         self.engine.telemetry.record_quality(chip.chip_id, self.time, quality)
         self._anchor[chip.chip_id] = (float(chip.variation.eps_between), quality)
         # Replacements get their baseline at first probe (install() already
@@ -298,16 +317,18 @@ class ChipLifecycle:
         return self.config.accuracy_floor * baseline
 
     def _probe_and_recalibrate(self) -> list[RecalibrationEvent]:
+        # Retired silicon is dead (or already swapped out): probing it
+        # wastes forwards and recalibration cannot resurrect stuck cells.
+        # Quarantined chips still get probed — the probe is the diagnosis
+        # that feeds the health monitor's probation — but only serving
+        # chips are worth the recalibration rewrite.
+        chips = [
+            chip for chip in self.engine.fleet if chip.health not in ("retired", "replaced")
+        ]
+        qualities = self._sweep(chips)
         events = []
-        for chip in self.engine.fleet:
-            # Retired silicon is dead (or already swapped out): probing it
-            # wastes forwards and recalibration cannot resurrect stuck
-            # cells.  Quarantined chips still get probed — the probe is
-            # the diagnosis that feeds the health monitor's probation —
-            # but only serving chips are worth the recalibration rewrite.
-            if chip.health in ("retired", "replaced"):
-                continue
-            quality = self._probe(chip)
+        for chip in chips:
+            quality = self._book(chip, qualities[chip.chip_id])
             if (
                 chip.health in SERVING_STATES
                 and self.config.recalibrate
@@ -343,7 +364,9 @@ class ChipLifecycle:
         ) as span:
             invalidated = self.engine.reprogram(chip)
             span.set(invalidated=invalidated)
-        quality_after = self._probe(chip)
+        quality_after = self._book(
+            chip, self.engine.probe_chip(chip, self._probe_data, k=self.config.probe_k)
+        )
         self.engine.telemetry.record_recalibration(chip.chip_id, self.time)
         event = RecalibrationEvent(
             time=self.time,

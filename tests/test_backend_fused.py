@@ -7,6 +7,9 @@ recalibration (``refresh``).  Everything here asserts ``array_equal``,
 never ``allclose`` — a single flipped mantissa bit is a failure.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from repro.backends import (
     FakeQuantBackend,
     FusedFleetForward,
     UnstackableError,
+    fused as fused_module,
 )
 from repro.datasets.loaders import batch_iterator
 from repro.datasets.synthetic import make_pattern_dataset
@@ -150,6 +154,65 @@ class TestBitExactness:
         _assert_parity(
             rebuilt, [(chip, x[i * 8 : (i + 1) * 8]) for i, chip in enumerate(fleet)]
         )
+
+
+@pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+class TestSharedBatch:
+    """forward_shared: one-chip groups that share the first layer's work."""
+
+    def test_every_member_matches_its_own_forward(self, golden, backend_name):
+        model, dataset = golden
+        fleet = _fleet(model, backend_name)
+        fused = FusedFleetForward.build(fleet)
+        first, second = dataset.images[:32], dataset.images[32:45]
+        # Interleave two batches, and hand in fresh copies: stems match by
+        # content, never by array identity.
+        for batch in (first, second, first.copy()):
+            for chip in fleet:
+                assert np.array_equal(fused.forward_shared(chip, batch), chip.forward(batch))
+
+    def test_first_layer_runs_once_per_batch(self, golden, backend_name, monkeypatch):
+        model, dataset = golden
+        fleet = _fleet(model, backend_name)
+        calls = []
+        real = fused_module.im2col
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fused_module, "im2col", counting)
+        batch = dataset.images[:16]
+        fused = FusedFleetForward.build(fleet)
+        for chip in fleet:
+            fused.forward([(chip, batch)])
+        plain = len(calls)
+        calls.clear()
+        for chip in fleet:
+            fused.forward_shared(chip, batch)
+        assert plain - len(calls) == len(fleet) - 1
+
+
+@pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+def test_dropped_stack_is_freed_without_garbage_collection(golden, backend_name):
+    """No reference cycle keeps a dropped stack (and its chips) alive."""
+    model, dataset = golden
+    fleet = _fleet(model, backend_name)
+    batch = dataset.images[:8]
+    gc.collect()
+    gc.disable()
+    try:
+        for run in ("forward", "forward_shared"):
+            fused = FusedFleetForward.build(fleet)
+            if run == "forward":
+                fused.forward([(fleet[0], batch)])
+            else:
+                fused.forward_shared(fleet[0], batch)
+            stack = weakref.ref(fused)
+            del fused
+            assert stack() is None, run
+    finally:
+        gc.enable()
 
 
 class TestFreshness:

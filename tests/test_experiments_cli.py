@@ -255,6 +255,8 @@ class TestCliEndToEnd:
         assert code == 0
         out = capsys.readouterr().out
         assert "best end-of-trace policy" in out
+        digests = [line for line in out.splitlines() if line.startswith("telemetry digest: ")]
+        assert [line.rsplit(" ", 1)[1] for line in digests] == ["(round-robin)", "(drift-aware)"]
         record = ResultStore(str(tmp_path)).load("lifetime-bench-lenet5")
         assert [entry["policy"] for entry in record["policies"]] == [
             "round-robin", "drift-aware",

@@ -17,6 +17,12 @@ class TestMinMax:
     def test_zero_tensor(self):
         assert minmax_scale(np.zeros(10), QuantSpec(4)) == 1.0
 
+    def test_subnormal_peak_does_not_underflow_to_zero(self):
+        x = np.array([5e-324, 0.0])
+        spec = QuantSpec(3)
+        assert minmax_scale(x, spec) == 1.0
+        assert quantization_mse(x, mmse_scale(x, spec), spec) == 0.0
+
 
 class TestMmse:
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])

@@ -11,6 +11,7 @@ dispatch automatically, so parity there is structural, and asserted too.
 import numpy as np
 import pytest
 
+from repro.backends import FusedFleetForward
 from repro.datasets.loaders import batch_iterator
 from repro.datasets.synthetic import make_pattern_dataset
 from repro.models import build_model
@@ -190,10 +191,16 @@ def test_fused_parity_across_fault_map_and_replacement(served_model):
 
 
 
-@pytest.mark.parametrize("backend", ["fake-quant", "circuit"])
-def test_fused_parity_under_drifting_lifecycle(served_model, backend):
+@pytest.mark.parametrize(
+    "backend, max_resident_chips",
+    [("fake-quant", None), ("circuit", None), ("fake-quant", 2), ("circuit", 2)],
+    ids=["fake-quant", "circuit", "fake-quant-2-resident", "circuit-2-resident"],
+)
+def test_fused_parity_under_drifting_lifecycle(served_model, backend, max_resident_chips):
     """The lifecycle drifts every chip between ticks, so mappings refresh
-    in place and the stack rebuilds; serving stays bit-identical."""
+    in place and the stack rebuilds; serving stays bit-identical.  With two
+    resident chips the probe sweeps run in chunks that spill and
+    re-realize chips."""
     model, dataset = served_model
     workload = _workload(dataset, 60)
     ids = [f"d{i:04d}" for i in range(len(workload))]
@@ -207,7 +214,8 @@ def test_fused_parity_under_drifting_lifecycle(served_model, backend):
             model,
             _spec(),
             config=ServeConfig(
-                max_batch=4, max_wait=2, seed=5, backend=backend, fused=fused
+                max_batch=4, max_wait=2, seed=5, backend=backend, fused=fused,
+                max_resident_chips=max_resident_chips,
             ),
             fleet_spec=FleetSpec.parse("rram:2,flash:2"),
         )
@@ -216,11 +224,76 @@ def test_fused_parity_under_drifting_lifecycle(served_model, backend):
         outputs = engine.run_trace(workload, trace, ids=ids, lifecycle=lifecycle)
         results.append((engine, lifecycle, outputs))
     (fused, life_f, out_f), (plain, life_p, out_p) = results
-    assert fused.telemetry.fused_groups > 0
+    if max_resident_chips is None:
+        assert fused.telemetry.fused_groups > 0
+    else:
+        # Three due batches per tick on two resident chips never share one
+        # stack, so serving falls back per chip; the sweeps still chunk.
+        assert fused.cache.stats.spills > 0
     assert set(out_f) == set(out_p)
     assert all(np.array_equal(out_f[rid], out_p[rid]) for rid in out_p)
     assert fused.telemetry.digest() == plain.telemetry.digest()
+    assert fused.telemetry.quality_series == plain.telemetry.quality_series
     assert len(life_f.events) == len(life_p.events)
+
+
+PROBE_FLEETS = {
+    "fake-quant": {},
+    "circuit": {"backend": "circuit"},
+    "self-tuned": {"self_tuning": SelfTuningConfig()},
+    "sticky-faults": {},
+}
+
+
+def _probe_engine(model, fleet):
+    """Five chips, two resident: sweeps chunk, spill and re-realize."""
+    engine = _engine(model, True, num_chips=5, max_resident_chips=2, **PROBE_FLEETS[fleet])
+    if fleet == "sticky-faults":
+        for index in (1, 3):
+            engine.inject_chip_faults(
+                engine.fleet[index], FaultSpec(p_stuck_off=0.2, p_stuck_on=0.1), seed=index
+            )
+    return engine
+
+
+@pytest.mark.parametrize("fleet", sorted(PROBE_FLEETS))
+def test_probe_sweep_matches_probe_chip_loop(served_model, fleet, monkeypatch):
+    """The chunked, stem-sharing sweep returns exactly the qualities of
+    probing each chip on its own; self-tuned chips cannot be stacked and
+    take the per-chip path."""
+    model, dataset = served_model
+    shared = []
+    real = FusedFleetForward.forward_shared
+
+    def spy(self, chip, inputs):
+        shared.append(chip.chip_id)
+        return real(self, chip, inputs)
+
+    monkeypatch.setattr(FusedFleetForward, "forward_shared", spy)
+    swept = _probe_engine(model, fleet).probe_fleet(dataset, k=2, batch_size=32)
+    engine = _probe_engine(model, fleet)
+    looped = {
+        chip.chip_id: engine.probe_chip(chip, dataset, k=2, batch_size=32)
+        for chip in engine.fleet
+    }
+    assert list(swept) == list(looped)
+    assert swept == looped
+    batches = len(list(batch_iterator(dataset, 32, shuffle=False)))
+    assert len(shared) == (0 if fleet == "self-tuned" else len(engine.fleet) * batches)
+
+
+def test_probe_sweep_programs_only_cold_chips(served_model):
+    """Resident chips are probed first, so a sweep over 6 chips with 2
+    resident programs the 4 others once each."""
+    model, dataset = served_model
+    engine = _engine(model, True, num_chips=6, max_resident_chips=2)
+    engine.warm_up()
+    assert len(engine.cache) == 2
+    before = engine.cache.stats.misses
+    engine.probe_fleet(dataset)
+    assert engine.cache.stats.misses - before == 4
+    assert engine.cache.stats.peak_resident == 2
+
 
 def test_self_tuning_disables_fusion(served_model):
     model, dataset = served_model

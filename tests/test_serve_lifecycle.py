@@ -251,3 +251,28 @@ class TestConfigValidation:
             LifecycleConfig(dt=0.0)
         with pytest.raises(ValueError):
             LifecycleConfig(probe_every=-1.0)
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"probe_subset": 0}, "probe_subset"),
+            ({"probe_k": 0}, "probe_k"),
+            ({"probe_k": -1}, "probe_k"),
+            ({"predict_beta": -0.5}, "predict_beta"),
+            ({"nu": -0.1}, "nu"),
+            ({"t0": 0.0}, "t0"),
+            ({"drift": "temperature", "theta": 0.0}, "theta"),
+        ],
+    )
+    def test_invalid_config_rejected_at_construction(self, overrides, match):
+        """Bad knobs fail when the config is built, not at install() or
+        the first probe."""
+        with pytest.raises(ValueError, match=match):
+            LifecycleConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"probe_k": 1}, {"predict_beta": 0.0}, {"nu": 0.0}, {"drift": "temperature"}],
+    )
+    def test_boundary_config_accepted(self, overrides):
+        LifecycleConfig(**overrides)

@@ -24,7 +24,6 @@ from repro.experiments.tables import format_series
 from repro.quant.qconfig import QConfig
 from repro.training.baselines import _float_pretrain
 from repro.training.distill import train_distilled
-from repro.experiments.tables import format_table
 
 SIGMAS = (0.3, 0.5)
 NOTATION = "A4W2"

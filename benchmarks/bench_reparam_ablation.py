@@ -13,7 +13,7 @@ from __future__ import annotations
 from benchmarks.conftest import bench_scale, spec_from, write_result
 from repro.datasets.loaders import batch_source
 from repro.eval.robustness import evaluate_robustness
-from repro.experiments.configs import MethodConfig, dataset_for, model_for
+from repro.experiments.configs import dataset_for, model_for
 from repro.experiments.tables import format_table
 from repro.quant.qconfig import QConfig
 from repro.training.baselines import train_qavat

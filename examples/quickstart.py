@@ -10,8 +10,6 @@ Walks the full QAVAT pipeline on a small LeNet-5:
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro import (
     QConfig,
     VariabilitySpec,

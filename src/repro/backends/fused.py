@@ -16,11 +16,11 @@ must produce *the same bits* as dispatching each batch through its chip's
 :meth:`~repro.backends.base.ProgrammedChip.forward`.  Two rules make
 that hold:
 
-* every elementwise op (activation fake-quant, pooling, bias add) is
-  applied in exactly the same order and association as the unfused code,
-  on merged arrays — elementwise math is batching-invariant (the circuit
-  MVM chain additionally runs per chip slice, where merged temporaries
-  measure slower on cache-bound hosts);
+* every elementwise op (activation fake-quant, the circuit path's
+  activation codes and DAC, pooling, bias add) is applied in exactly the
+  same order and association as the unfused code, on merged arrays —
+  elementwise math is batching-invariant (the circuit tiles' GEMM and ADC
+  chain runs per chip slice, in that chip's own arrays);
 * every GEMM runs with exactly the operand shapes, strides, and dtypes
   the unfused path would use: the merged activation tensor is sliced
   back per chip (contiguous row ranges) and multiplied against that
@@ -203,15 +203,16 @@ class _FusedQuantConv2d(_FusedLayerBase):
 class _FusedMappedBase(_FusedLayerBase):
     """Shared per-slice MVM machinery for circuit-deployed layers.
 
-    The circuit path quantizes *after* patch extraction, so its
-    elementwise DAC/clip chain runs over the full im2col drive matrix.
-    Running that chain merged is a measured pessimization on cache-bound
-    hosts (the working set of the op-by-op temporaries triples), so the
-    fused circuit layer shares only the merged glue (im2col, pooling,
-    activations, reshapes) and runs each chip's *own*
-    :meth:`~repro.pim.chip._MappedLayer._mvm` on its contiguous row
-    slice — bit-exactness by construction, since it is literally the
-    unfused code on the same rows.
+    The circuit path quantizes and DAC-converts its input *before* patch
+    extraction (:meth:`~repro.pim.chip._MappedLayer.voltages`), so the
+    fused layer runs that step and im2col once on the merged batch, with
+    the glue around them (pooling, activations, reshapes).  The stack's
+    members come from one golden model and share their activation scale
+    and DAC, so the voltages do not depend on the chip.  Each chip then
+    runs its *own* :meth:`~repro.pim.chip._MappedLayer._mvm` (tile
+    drives, ADC, digital rescale) on its contiguous row slice —
+    bit-exactness by construction, since it is literally the unfused code
+    on the same rows.
     """
 
     def __init__(self, owner, mapped_layers: list) -> None:
@@ -232,7 +233,7 @@ class _FusedMappedLinear(_FusedMappedBase):
     """Fleet-shared :class:`~repro.pim.chip.MappedLinear` dispatch."""
 
     def _prepare(self, data):
-        return np.atleast_2d(np.asarray(data, dtype=np.float64))
+        return self.mapped_layers[0].voltages(np.atleast_2d(np.asarray(data, dtype=np.float64)))
 
     def forward(self, x):
         idx, bounds = self.owner._group
@@ -246,19 +247,18 @@ class _FusedMappedLinear(_FusedMappedBase):
 class _FusedMappedConv2d(_FusedMappedBase):
     """Fleet-shared :class:`~repro.pim.chip.MappedConv2d` dispatch.
 
-    The unfused circuit conv flattens im2col patches to a
-    ``(B*H_out*W_out, d_in)`` drive matrix; the fused version extracts
-    patches from the merged batch once and scales each chip's row range
-    by ``H_out * W_out``, so every per-chip MVM sees exactly the drive
-    rows the unfused layer would.
+    The unfused circuit conv flattens the im2col patches of its voltages
+    to a ``(B*H_out*W_out, d_in)`` drive matrix; the fused version
+    converts and extracts patches from the merged batch once and scales
+    each chip's row range by ``H_out * W_out``, so every per-chip MVM sees
+    exactly the drive rows the unfused layer would.
     """
 
     def _prepare(self, data):
-        qlayer = self.mapped_layers[0].qlayer
-        kernel = (qlayer.kernel_size, qlayer.kernel_size)
-        return im2col(
-            np.asarray(data, dtype=np.float64), kernel, qlayer.stride, qlayer.padding
-        )
+        first = self.mapped_layers[0]
+        kernel = (first.qlayer.kernel_size, first.qlayer.kernel_size)
+        voltages = first.voltages(np.asarray(data, dtype=np.float64))
+        return im2col(voltages, kernel, first.qlayer.stride, first.qlayer.padding)
 
     def forward(self, x):
         idx, bounds = self.owner._group
@@ -389,6 +389,10 @@ class FusedFleetForward:
     @classmethod
     def _circuit_template(cls, chips, owner) -> Module:
         base = chips[0]
+        if base._source_model is None or any(
+            chip._source_model is not base._source_model for chip in chips
+        ):
+            raise UnstackableError("chips were not programmed from one golden model")
         names = base.deployed
         if any(chip.deployed != names for chip in chips):
             raise UnstackableError("chips disagree on their deployed layer sets")
@@ -519,9 +523,9 @@ class FusedFleetForward:
         weights: the BLAS call ``chip.forward(inputs)`` makes, and the
         same bits out.  What the group shares is the *stem*: the first
         stacked layer's prepared input (activation quantization and the
-        im2col patch matrix on the fake-quant path, the patch matrix on
-        the circuit path), computed once per distinct batch for the life
-        of the stack and reused by every member.
+        im2col patch matrix on the fake-quant path, the patch matrix of
+        DAC voltages on the circuit path), computed once per distinct
+        batch for the life of the stack and reused by every member.
         """
         inputs = np.asarray(inputs)
         self._shared = inputs

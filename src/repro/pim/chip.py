@@ -4,8 +4,10 @@ This is the circuit-level counterpart of the fake-quant fast path used in
 training.  Deploying a :class:`repro.quant.QuantLinear` or
 :class:`repro.quant.QuantConv2d` onto a :class:`PimChip` programs its
 integer weight codes into differential crossbar tiles; inference then runs
-DAC -> analog MVM -> ADC -> digital rescale (convolutions are lowered with
-im2col, each output position driving the same arrays).  Given the same
+DAC -> analog MVM -> ADC -> digital rescale.  The DAC runs once per layer
+input, before any im2col or tiling: convolutions lower the converted
+voltages with im2col, each output position driving the same arrays, and
+every tile takes its row slice of the same voltage matrix.  Given the same
 :class:`ChipVariation`, the chip path and the fake-quant path produce
 identical outputs when the ADC is ideal — a cross-validation exercised by
 the test suite, including whole-model deployment via :func:`deploy_model`.
@@ -58,6 +60,7 @@ class _MappedLayer:
         self.weight_scale = float(qlayer.weight_scale)
         if self.act_scale == 0.0:
             raise RuntimeError("deploying an uncalibrated layer; run calibrate_model first")
+        self.dac = dac
         # Codes laid out (d_in, d_out) for wordline-major MVM.
         self.d_in, self.d_out = codes.shape
         self.codes = codes
@@ -102,15 +105,22 @@ class _MappedLayer:
             positive, negative = self.mapping.to_differential(logical / self.weight_scale)
             array.program(interleave_differential(positive, negative))
 
-    def _mvm(self, x: np.ndarray) -> np.ndarray:
-        """Rows of float activations -> float MVM outputs (pre-bias)."""
+    def voltages(self, x: np.ndarray) -> np.ndarray:
+        """Float activations -> wordline voltages: activation codes, then the DAC.
+
+        Elementwise, so the layers run it on their input before im2col
+        rather than on every patch row.  im2col's zero padding is
+        DAC(0) = +0.0, so the patch matrix holds the same bits either way.
+        """
         spec = self.qlayer.act_spec
-        x_codes = np.clip(np.rint(x / self.act_scale), spec.qmin, spec.qmax)
-        batch = x_codes.shape[0]
-        total = np.zeros((batch, self.d_out))
+        codes = np.clip(np.rint(x / self.act_scale), spec.qmin, spec.qmax)
+        return self.dac.convert(codes)
+
+    def _mvm(self, voltages: np.ndarray) -> np.ndarray:
+        """Rows of wordline voltages -> float MVM outputs (pre-bias)."""
+        total = np.zeros((voltages.shape[0], self.d_out))
         for tile, array in self.tiles:
-            drive = x_codes[:, tile.row_start : tile.row_stop]
-            readings = array.mvm(drive)
+            readings = array.drive(voltages[:, tile.row_start : tile.row_stop])
             pos, neg = deinterleave_readings(readings)
             total[:, tile.col_start : tile.col_stop] += self.mapping.from_differential(pos, neg)
         # Digital rescale: codes*codes -> real units.
@@ -144,7 +154,7 @@ class MappedLinear(_MappedLayer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Float activations in, float layer outputs out."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = self._mvm(x)
+        out = self._mvm(self.voltages(x))
         if self.qlayer.bias is not None:
             out = out + self.qlayer.bias.data
         return out
@@ -177,7 +187,7 @@ class MappedConv2d(_MappedLayer):
 
         x = np.asarray(x, dtype=np.float64)
         kernel = (self.qlayer.kernel_size, self.qlayer.kernel_size)
-        patches = im2col(x, kernel, self.qlayer.stride, self.qlayer.padding)
+        patches = im2col(self.voltages(x), kernel, self.qlayer.stride, self.qlayer.padding)
         n, h, w, _ = patches.shape
         out = self._mvm(patches.reshape(n * h * w, -1))
         out = out.reshape(n, h, w, self.d_out).transpose(0, 3, 1, 2)

@@ -10,22 +10,38 @@ the circuit-level path agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _require_bits(bits: int) -> None:
+    if bits < 2:
+        raise ValueError(f"a symmetric converter needs at least 2 bits, got {bits}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
 class DAC:
     """Digital-to-analog converter: integer codes -> voltages.
 
-    ``bits`` bounds the representable code range (symmetric); ``v_step`` is
-    the voltage per LSB.  Codes outside the range saturate, mirroring a
+    ``bits`` bounds the representable code range (symmetric, so at least
+    2 bits); ``v_step`` is the voltage per LSB (finite and positive, so
+    code 0 drives +0.0 V).  Codes outside the range saturate, mirroring a
     driver hitting its rails.
     """
 
     bits: int = 8
     v_step: float = 1.0
+
+    def __post_init__(self) -> None:
+        _require_bits(self.bits)
+        _require_positive("v_step", self.v_step)
 
     @property
     def code_max(self) -> int:
@@ -40,10 +56,10 @@ class DAC:
 class ADC:
     """Analog-to-digital converter: currents -> integer codes.
 
-    The full-scale range ``full_scale`` maps onto ``±(2^(bits-1) - 1)``
-    codes.  ``ideal=True`` bypasses quantization entirely (infinite
-    resolution), which is useful for isolating variability effects from ADC
-    effects in experiments.
+    The full-scale range ``full_scale`` (finite and positive) maps onto
+    ``±(2^(bits-1) - 1)`` codes, so ``bits`` is at least 2.  ``ideal=True``
+    bypasses quantization entirely (infinite resolution), which is useful
+    for isolating variability effects from ADC effects in experiments.
     """
 
     bits: int = 12
@@ -76,6 +92,10 @@ class ADC:
         return out
 
     def __post_init__(self) -> None:
+        _require_bits(self.bits)
+        _require_positive("full_scale", self.full_scale)
+        if not self.noise_rms >= 0.0:
+            raise ValueError(f"noise_rms must be >= 0, got {self.noise_rms}")
         # A mutable RNG on a frozen dataclass: conversions draw fresh noise
         # while the converter's configuration stays hashable/immutable.
         object.__setattr__(self, "_rng", np.random.default_rng(self.noise_seed))

@@ -22,8 +22,8 @@ class CrossbarArray:
 
     ``program`` stores ideal conductances; ``apply_variation`` derives the
     physical conductances under a sampled chip's variation; ``mvm`` computes
-    bitline outputs for a batch of wordline vectors through the DAC/ADC
-    models.
+    bitline outputs for a batch of input codes through the DAC/ADC models,
+    and ``drive`` does the same for already converted wordline voltages.
     """
 
     def __init__(
@@ -114,10 +114,19 @@ class CrossbarArray:
 
     def mvm(self, codes: np.ndarray) -> np.ndarray:
         """Batched MVM: input codes (N, rows) -> bitline readings (N, cols)."""
-        codes = np.atleast_2d(codes)
-        if codes.shape[-1] != self.rows:
-            raise ValueError(f"expected {self.rows} inputs, got {codes.shape[-1]}")
-        voltages = self.dac.convert(codes)
+        return self.drive(self.dac.convert(codes))
+
+    def drive(self, voltages: np.ndarray) -> np.ndarray:
+        """Batched analog MVM: wordline voltages (N, rows) -> readings (N, cols).
+
+        The DAC-free half of :meth:`mvm`, for callers that convert a whole
+        input once and drive several arrays with slices of it.  A column
+        slice is copied, so the GEMM always multiplies the C-contiguous
+        operand a fresh conversion would give it.
+        """
+        voltages = np.ascontiguousarray(np.atleast_2d(voltages))
+        if voltages.shape[-1] != self.rows:
+            raise ValueError(f"expected {self.rows} inputs, got {voltages.shape[-1]}")
         conductances = self.effective_conductances()
         if self.device is not None and self.device.sigma_read > 0.0:
             conductances = self.device.read(conductances, self.rng)

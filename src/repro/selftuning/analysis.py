@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.selftuning.tuner import SelfTuningConfig, correct_kind_for
 
 

@@ -7,6 +7,7 @@ recalibration (``refresh``).  Everything here asserts ``array_equal``,
 never ``allclose`` — a single flipped mantissa bit is a failure.
 """
 
+import copy
 import gc
 import weakref
 
@@ -25,7 +26,7 @@ from repro.datasets.synthetic import make_pattern_dataset
 from repro.models import build_model
 from repro.nn import init
 from repro.quant.calibration import calibrate_model
-from repro.quant.ptq import convert_to_quantized
+from repro.quant.ptq import convert_to_quantized, quantized_layers
 from repro.quant.qconfig import QConfig
 from repro.selftuning.tuner import SelfTuningConfig
 from repro.variability.faults import FaultSpec
@@ -302,15 +303,14 @@ class TestUnstackable:
         with pytest.raises(UnstackableError, match="ADC"):
             FusedFleetForward.build(chips)
 
-    def test_different_golden_models_refused(self, golden):
-        model, dataset = golden
-        init.seed(1)
-        other = build_model("lenet5-mini", num_classes=5, in_channels=1)
-        convert_to_quantized(other, QConfig.from_notation("A4W2"))
-        calibrate_model(
-            other, batch_iterator(dataset, 16, shuffle=False), max_batches=3
-        )
-        other.eval()
-        mixed = _fleet(model, "fake-quant", n=1) + _fleet(other, "fake-quant", n=1)
-        with pytest.raises(UnstackableError):
+    @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+    def test_different_golden_models_refused(self, golden, backend_name):
+        # Equal scales, shapes and tile plans, but a different bias: a stack
+        # would serve the second chip with the first model's digital layers.
+        model, _ = golden
+        other = copy.deepcopy(model)
+        _, last = list(quantized_layers(other))[-1]
+        last.bias.data = last.bias.data + 1.0
+        mixed = _fleet(model, backend_name, n=1) + _fleet(other, backend_name, n=1, seed0=1)
+        with pytest.raises(UnstackableError, match="one golden model"):
             FusedFleetForward.build(mixed)

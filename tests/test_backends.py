@@ -9,7 +9,6 @@ from repro.backends import (
     ChipBackend,
     CircuitBackend,
     FakeQuantBackend,
-    ProgrammedChip,
     make_backend,
     register_backend,
     replicate_for_programming,

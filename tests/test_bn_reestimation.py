@@ -1,7 +1,6 @@
 """Tests for BatchNorm running-statistic re-estimation after noisy training."""
 
 import numpy as np
-import pytest
 
 from repro.autograd import Tensor, no_grad
 from repro.nn import BatchNorm2d, Conv2d, ReLU, Sequential, reestimate_bn_statistics

@@ -15,11 +15,7 @@ from repro.nn import init
 from repro.quant import QConfig
 from repro.selftuning import SelfTuningConfig, attach_self_tuning, detach_self_tuning
 from repro.training.baselines import train_qat, train_qavat
-from repro.variability import (
-    LayerFixedVariance,
-    VariabilitySpec,
-    WeightProportionalVariance,
-)
+from repro.variability import LayerFixedVariance, VariabilitySpec
 
 QC = QConfig.from_notation("A4W2")
 SIGMA = 0.5

@@ -1,7 +1,6 @@
 """Unit tests for repro.obs.metrics: counters, gauges, histograms, registry."""
 
 import json
-import math
 
 import numpy as np
 import pytest

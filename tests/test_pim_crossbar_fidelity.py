@@ -1,7 +1,6 @@
 """Integration tests: CrossbarArray with device, IR-drop and fault models."""
 
 import numpy as np
-import pytest
 
 from repro.pim.converters import ADC, DAC
 from repro.pim.crossbar import CrossbarArray

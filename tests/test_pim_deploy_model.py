@@ -5,8 +5,17 @@ import pytest
 
 from repro.autograd import Tensor, no_grad
 from repro.models import build_model
-from repro.pim import ADC, MappedConv2d, PimChip, deploy_model
-from repro.quant import QConfig, QuantConv2d, calibrate_model, convert_to_quantized
+from repro.nn.conv import im2col
+from repro.pim import (
+    ADC,
+    DAC,
+    CrossbarArray,
+    MappedConv2d,
+    PimChip,
+    deinterleave_readings,
+    deploy_model,
+)
+from repro.quant import QConfig, QuantConv2d, QuantLinear, calibrate_model, convert_to_quantized
 from repro.variability.models import WeightProportionalVariance
 from repro.variability.sampler import VariabilitySpec
 
@@ -129,3 +138,97 @@ class TestDeployModel:
             layer.array_count for layer in chip.layers.values()
         )
         assert chip.total_arrays > 5  # tiling forced multiple arrays
+
+
+def _codes_first_reference(mapped, x):
+    """The layer's output computed in the codes-first order.
+
+    im2col of the raw input (for a conv), then activation codes over every
+    patch row, then one ``CrossbarArray.mvm`` per tile on its slice of the
+    codes, then the differential readout and the digital rescale.
+    """
+    qlayer = mapped.qlayer
+    x = np.asarray(x, dtype=np.float64)
+    if isinstance(mapped, MappedConv2d):
+        kernel = (qlayer.kernel_size, qlayer.kernel_size)
+        patches = im2col(x, kernel, qlayer.stride, qlayer.padding)
+        n, h, w, _ = patches.shape
+        rows = patches.reshape(n * h * w, -1)
+    else:
+        rows = x
+    spec = qlayer.act_spec
+    codes = np.clip(np.rint(rows / mapped.act_scale), spec.qmin, spec.qmax)
+    total = np.zeros((rows.shape[0], mapped.d_out))
+    for tile, array in mapped.tiles:
+        readings = array.mvm(codes[:, tile.row_start : tile.row_stop])
+        pos, neg = deinterleave_readings(readings)
+        total[:, tile.col_start : tile.col_stop] += mapped.mapping.from_differential(pos, neg)
+    out = total * mapped.act_scale * mapped.weight_scale
+    if isinstance(mapped, MappedConv2d):
+        out = out.reshape(n, h, w, mapped.d_out).transpose(0, 3, 1, 2)
+        return out + qlayer.bias.data.reshape((1, -1, 1, 1))
+    return out + qlayer.bias.data
+
+
+CONVERTERS = {
+    "default": (DAC(), ADC(ideal=True)),
+    "saturating-dac": (DAC(bits=3), ADC(ideal=True)),
+    "half-step-dac": (DAC(v_step=0.5), ADC(ideal=True)),
+    "coarse-adc": (DAC(), ADC(bits=6, full_scale=64.0)),
+}
+
+
+def _chip(converters):
+    """16x8 arrays: both test layers split across row and column tiles."""
+    dac, adc = CONVERTERS[converters]
+    spec = VariabilitySpec(0.1, 0.1, WeightProportionalVariance())
+    return PimChip(spec, array_rows=16, array_cols=8, dac=dac, adc=adc, seed=3)
+
+
+@pytest.mark.parametrize("converters", sorted(CONVERTERS))
+class TestVoltagesBeforeIm2col:
+    """The layers convert each activation once, bit-equal to the codes-first order."""
+
+    @pytest.mark.parametrize("padding", [0, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_matches_codes_first_order(self, converters, padding, stride):
+        rng = np.random.default_rng(11)
+        layer = QuantConv2d(
+            2, 6, kernel_size=3, qconfig=QConfig.from_notation("A4W4"),
+            stride=stride, padding=padding,
+        )
+        layer.bias.data = rng.normal(size=6)
+        calibrate_model(layer, [rng.normal(size=(2, 2, 9, 9))])
+        mapped = _chip(converters).deploy_conv2d(layer, "conv")
+        assert len({tile.row_start for tile, _ in mapped.tiles}) > 1
+        assert len({tile.col_start for tile, _ in mapped.tiles}) > 1
+        x = rng.normal(size=(3, 2, 9, 9)) * 2.0
+        assert (x < 0).any()
+        assert mapped.forward(x).tobytes() == _codes_first_reference(mapped, x).tobytes()
+
+    def test_linear_matches_codes_first_order(self, converters):
+        rng = np.random.default_rng(12)
+        layer = QuantLinear(20, 6, qconfig=QConfig.from_notation("A4W4"))
+        layer.bias.data = rng.normal(size=6)
+        calibrate_model(layer, [rng.normal(size=(8, 20))])
+        mapped = _chip(converters).deploy_linear(layer, "fc")
+        assert len({tile.row_start for tile, _ in mapped.tiles}) > 1
+        assert len({tile.col_start for tile, _ in mapped.tiles}) > 1
+        x = rng.normal(size=(5, 20)) * 2.0
+        assert (x < 0).any()
+        assert mapped.forward(x).tobytes() == _codes_first_reference(mapped, x).tobytes()
+
+
+class TestCrossbarDrive:
+    @pytest.mark.parametrize("dac", [DAC(), DAC(bits=3), DAC(v_step=0.5)])
+    def test_mvm_is_drive_of_converted_codes(self, dac):
+        rng = np.random.default_rng(13)
+        array = CrossbarArray(6, 4, dac=dac, adc=ADC(bits=6, full_scale=64.0))
+        array.program(rng.uniform(0.0, 1.0, size=(6, 4)))
+        codes = rng.integers(-9, 10, size=(5, 6)).astype(float)
+        assert array.mvm(codes).tobytes() == array.drive(dac.convert(codes)).tobytes()
+
+    def test_drive_rejects_wrong_width(self):
+        array = CrossbarArray(4, 3)
+        with pytest.raises(ValueError, match="expected 4 inputs, got 5"):
+            array.drive(np.zeros((2, 5)))

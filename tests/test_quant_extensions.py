@@ -22,7 +22,7 @@ from repro.quant.bias_correction import (
     quantization_weight_error,
 )
 from repro.quant.estimators import HistogramCalibrator, make_calibrator
-from repro.quant.pact import PactFunction, PactReLU, pact_regularization
+from repro.quant.pact import PactReLU, pact_regularization
 from repro.quant.perchannel import (
     fake_quantize_per_channel,
     per_channel_mmse_scales,

@@ -19,7 +19,7 @@ from repro.selftuning import (
     size_quality_table,
 )
 from repro.variability.models import WeightProportionalVariance
-from repro.variability.sampler import ChipVariation, VariabilitySampler, VariabilitySpec
+from repro.variability.sampler import VariabilitySampler, VariabilitySpec
 
 
 class TestGtmAnalysis:

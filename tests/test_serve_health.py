@@ -1,6 +1,5 @@
 """Tests for the per-chip health state machine and health-aware routing."""
 
-import numpy as np
 import pytest
 
 from repro.datasets.loaders import batch_iterator

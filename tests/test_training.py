@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.autograd import Tensor
 from repro.datasets import batch_source
-from repro.datasets.synthetic import ArrayDataset
-from repro.nn import functional as F
 from repro.quant import QConfig, convert_to_quantized, calibrate_model, quantized_layers
 from repro.training import SGD, Adam, ConstantLR, CosineLR, QavatTrainer, StepLR
 from repro.training.baselines import FloatVatTrainer, train_ptq_vat, train_qat, train_qavat

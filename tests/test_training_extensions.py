@@ -22,8 +22,6 @@ from repro.training import (
     save_checkpoint,
     train_distilled,
 )
-from repro.training.distill import DistillationTrainer
-from repro.variability.injection import VariabilityInjector
 from repro.variability.models import WeightProportionalVariance
 from repro.variability.sampler import VariabilitySpec
 

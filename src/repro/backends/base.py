@@ -61,6 +61,19 @@ class ProgrammedChip:
         #: programmed state.
         self.version = 0
 
+    @property
+    def deterministic(self) -> bool:
+        """Whether :meth:`forward` is a pure function of the programmed state.
+
+        ``True`` promises that two chips programmed from the same variation
+        and fault map compute bit-identical outputs on the same inputs, and
+        that a forward draws from no random stream a later forward reads.
+        The lifecycle relies on it to book a rewritten chip's stored
+        fresh-state quality instead of re-probing.  ``False`` here, so a
+        backend must opt in.
+        """
+        return False
+
     def bump_version(self) -> None:
         """Mark the programmed state as mutated (invalidates fused stacks).
 

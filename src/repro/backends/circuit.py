@@ -63,6 +63,22 @@ class CircuitChip(ProgrammedChip):
         self.deployed = list(deployed)
         self.spec = spec
 
+    @property
+    def deterministic(self) -> bool:
+        """``True`` without ADC noise and without device read noise.
+
+        The ADC's noise generator is shared by every chip of the backend
+        and each tile's read noise advances its array's stream, so either
+        one makes a forward depend on how many forwards ran before it.
+        """
+        if self.chip.adc.noise_rms != 0.0:
+            return False
+        return not any(
+            array.device is not None and array.device.sigma_read > 0.0
+            for layer in self.chip.layers.values()
+            for _, array in layer.tiles
+        )
+
     def refresh(self, variation: ChipVariation) -> None:
         """Re-derive physical conductances from a drifted variation.
 

@@ -72,6 +72,12 @@ class FakeQuantChip(ProgrammedChip):
         self.injection_mode = injection_mode
         self.tuner = tuner
 
+    @property
+    def deterministic(self) -> bool:
+        """Always: the forward draws nothing, with or without a tuner (GTM
+        and LTM cell noise come from per-chip keyed streams)."""
+        return True
+
     def refresh(self, variation: ChipVariation) -> None:
         inject_variation(self.mapping, variation, self.spec, self.injection_mode)
         self.bump_version()
@@ -166,6 +172,10 @@ class FakeQuantBackend(ChipBackend):
         tuner = None
         if self_tuning is not None:
             tuner = attach_self_tuning(mapping, self_tuning)
+            # Read the GTM now, on the cells just written.  Read lazily at
+            # the first forward, a chip that drifts before it serves would
+            # record the drifted eps_B instead of its programmed state's.
+            tuner.gtm.estimate(variation)
         return FakeQuantChip(
             chip_id,
             mapping,

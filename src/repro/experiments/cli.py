@@ -838,7 +838,12 @@ def _cmd_lifetime_bench(args) -> int:
     print(f"\nbest end-of-trace policy: {best['policy']} "
           f"({100 * best['end_accuracy']:.1f}%)")
     for run in runs:
-        print(f"telemetry digest: {run['engine'].telemetry.digest()} ({run['policy']})")
+        telemetry = run["engine"].telemetry
+        print(f"telemetry digest: {telemetry.digest()} ({run['policy']})")
+        print(
+            f"probes: {telemetry.probes} run, {telemetry.probes_reused} reused "
+            f"({run['policy']})"
+        )
     store = ResultStore(args.results_dir)
     path = store.save(f"lifetime-bench-{args.model}", _drift_record(args, runs))
     print(f"saved: {path}")

@@ -22,6 +22,7 @@ because both backends treat batch rows independently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -104,6 +105,10 @@ class ServeConfig:
     state (see ``docs/scale-out.md``).  Spilled chips re-realize
     deterministically on the next dispatch or probe.  ``None`` (the
     default) keeps every chip's mapping resident, programmed exactly once.
+
+    The sizes are checked at construction: ``max_batch`` and
+    ``max_resident_chips`` are ints >= 1 (or ``None`` for the latter),
+    ``max_wait`` an int >= 0.
     """
 
     max_batch: int = 32
@@ -118,6 +123,20 @@ class ServeConfig:
     continuous: bool = False
     fused: bool = True
     max_resident_chips: int | None = None
+
+    def __post_init__(self) -> None:
+        _require_int("max_batch", self.max_batch, minimum=1)
+        _require_int("max_wait", self.max_wait, minimum=0)
+        if self.max_resident_chips is not None:
+            _require_int("max_resident_chips", self.max_resident_chips, minimum=1)
+
+
+def _require_int(name: str, value, minimum: int) -> None:
+    # bool is an int subclass, but max_batch=True is a typo, not a size.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -414,11 +433,6 @@ class InferenceEngine:
             "serve_program_seconds", "seconds per miss-triggered chip programming",
             lo=1e-6, hi=1e3,
         )
-        if config.max_resident_chips is not None and config.max_resident_chips < 1:
-            raise ValueError(
-                f"max_resident_chips must be >= 1 or None, got "
-                f"{config.max_resident_chips}"
-            )
         self.cache = MappingCache(
             capacity=config.max_resident_chips,
             clock=self.obs.clock.now,
@@ -555,7 +569,7 @@ class InferenceEngine:
             )
             span.set(layers=programmed.describe().get("quantized_layers"))
         programmed.attach_observability(self.obs)
-        sticky = self._sticky_faults.get(chip.chip_id)
+        sticky = self.sticky_faults(chip)
         if sticky is not None:
             # Stuck cells are physical damage: reprogramming (recalibration,
             # cache eviction) rewrites the healthy cells but the stuck ones
@@ -644,6 +658,14 @@ class InferenceEngine:
         programmed.refresh(chip.variation)
         chip.mapping_stale = False
         return stuck
+
+    def sticky_faults(self, chip: FleetChip) -> tuple[FaultSpec, int] | None:
+        """The ``(spec, seed)`` stuck-at map pinned on this chip id, or ``None``.
+
+        Every program of the chip re-applies it, so together with the
+        chip's variation it determines what a reprogram writes.
+        """
+        return self._sticky_faults.get(chip.chip_id)
 
     def retire_dead(self, chip: FleetChip) -> FleetChip | None:
         """Take a hard-failed chip out of rotation; returns its replacement.
@@ -760,6 +782,7 @@ class InferenceEngine:
         the chip runs through :meth:`FusedFleetForward.forward_shared`,
         reusing the stack's first-layer work on the probe batch.
         """
+        self.telemetry.record_probe()
         with self.obs.span("probe", chip=chip.chip_id) as span:
             programmed = self.programmed_for(chip)
             shared = stack is not None and stack.covers([programmed])

@@ -29,7 +29,11 @@ closes that loop inside the serving engine:
    rewritten via :meth:`~repro.serve.engine.InferenceEngine.reprogram` —
    its stale cache entry (and only that entry) is invalidated and the
    chip's owning :class:`~repro.backends.ChipBackend` programs a fresh
-   mapping; healthy chips stay resident, no fleet-wide flush.
+   mapping; healthy chips stay resident, no fleet-wide flush.  The
+   rewritten chip is bit-identical to the state the lifecycle last wrote
+   to it, so when that state's probed quality is on record (and the
+   chip's forward is deterministic) the recalibration books it instead of
+   re-running the probe — see :meth:`ChipLifecycle.recalibrate`.
 
 Everything is deterministic from the engine seed, the lifecycle seed, and
 the trace: the same run reproduces the same recalibration schedule and the
@@ -77,6 +81,9 @@ class LifecycleConfig:
     by its device technology's severity
     (:attr:`repro.pim.devices.DeviceModel.drift_scale`), so a mixed fleet
     ages heterogeneously — the regime the drift-aware schedulers exist for.
+    A recalibration runs its own probe only when it cannot book the
+    rewritten chip's stored fresh-state quality
+    (:meth:`ChipLifecycle.recalibrate`).
 
     ``predict_quality`` turns on model-predictive quality estimation:
     between probes, each chip's ``quality`` estimate is decayed as
@@ -166,6 +173,9 @@ class ChipLifecycle:
         self._bases: dict[int, object] = {}
         self._baseline: dict[str, float] = {}
         self._anchor: dict[str, tuple[float, float]] = {}
+        #: chip id -> (sticky fault map, probed quality) of the state this
+        #: lifecycle last wrote to the chip at drift age 0.
+        self._fresh: dict[str, tuple[object, float]] = {}
         self._next_probe = float(self.config.probe_every)
         self._probe_data = (
             self.probe_set.subset(self.config.probe_subset)
@@ -195,9 +205,18 @@ class ChipLifecycle:
         # adopt it into the drift clock so replacements age like everyone.
         self.engine.on_chip_replaced.append(self._adopt_replacement)
         chips = list(self.engine.fleet)
+        # The sweep programs the chips that are not resident, at drift age
+        # 0: their probe measures exactly what a recalibration rewrites.  A
+        # resident chip keeps whatever was done to it before install().
+        cold = [
+            chip for chip in chips
+            if self.engine.cache.peek(self.engine.key_for(chip)) is None
+        ]
         qualities = self._sweep(chips)
         for chip in chips:
             self._baseline[chip.chip_id] = self._book(chip, qualities[chip.chip_id])
+        for chip in cold:
+            self._remember_fresh(chip, qualities[chip.chip_id])
         return dict(self._baseline)
 
     def _adopt_replacement(self, old_chip: FleetChip, new_chip: FleetChip) -> None:
@@ -221,6 +240,7 @@ class ChipLifecycle:
         new_chip.age = 0.0
         new_chip.mapping_stale = True
         self._anchor.pop(old_chip.chip_id, None)
+        self._fresh.pop(old_chip.chip_id, None)
 
     def drift_scale(self, chip: FleetChip) -> float:
         """Technology severity multiplier for one chip's drift process.
@@ -246,7 +266,12 @@ class ChipLifecycle:
     # Clock
     # ------------------------------------------------------------------
     def advance(self, dt: float | None = None) -> list[RecalibrationEvent]:
-        """Advance the virtual drift clock; returns recalibrations triggered."""
+        """Advance the virtual drift clock; returns recalibrations triggered.
+
+        A step that reaches a probe time runs one sweep, at the new time,
+        however many ``probe_every`` periods it spans; the next sweep is
+        due at the first multiple of ``probe_every`` after it.
+        """
         if not self._installed:
             raise RuntimeError("call install() before advancing the lifecycle")
         step = self.config.dt if dt is None else float(dt)
@@ -262,9 +287,12 @@ class ChipLifecycle:
             # (no cache traffic — drift does not reprogram anything).
             chip.mapping_stale = True
         triggered: list[RecalibrationEvent] = []
-        while self.time >= self._next_probe - 1e-9:
-            triggered.extend(self._probe_and_recalibrate())
-            self._next_probe += self.config.probe_every
+        if self.time >= self._next_probe - 1e-9:
+            # One sweep per instant: a step spanning several probe periods
+            # would otherwise probe the same chips again at the same time.
+            triggered = self._probe_and_recalibrate()
+            while self.time >= self._next_probe - 1e-9:
+                self._next_probe += self.config.probe_every
         self._update_quality_estimates()
         return triggered
 
@@ -292,6 +320,28 @@ class ChipLifecycle:
         self._baseline.setdefault(chip.chip_id, quality)
         self.engine.health.on_probe(chip, quality, tick=self.engine.now)
         return quality
+
+    def _remember_fresh(self, chip: FleetChip, quality: float) -> None:
+        """Store ``quality`` as the chip's fresh-state quality.
+
+        Call only with a probe of a state this lifecycle just wrote: the
+        chip programmed at drift age 0 under its current sticky fault map.
+        """
+        self._fresh[chip.chip_id] = (self.engine.sticky_faults(chip), quality)
+
+    def _fresh_quality(self, chip: FleetChip) -> float | None:
+        """The stored fresh-state quality of a just-rewritten chip, or None.
+
+        Valid when the chip's forward is deterministic and no stuck-at map
+        was pinned (or changed) since the value was measured.
+        """
+        entry = self._fresh.get(chip.chip_id)
+        if entry is None or entry[0] != self.engine.sticky_faults(chip):
+            return None
+        programmed = self.engine.cache.peek(self.engine.key_for(chip))
+        if programmed is None or not programmed.deterministic:
+            return None
+        return entry[1]
 
     def _update_quality_estimates(self) -> None:
         """Extrapolate each chip's quality from its last probe anchor.
@@ -349,6 +399,23 @@ class ChipLifecycle:
         serving layer: :meth:`~repro.serve.engine.InferenceEngine.reprogram`
         drops the chip's cache entry — and only that entry — and rewrites
         the chip through its owning backend, whichever fidelity that is.
+
+        The rewritten chip is the state the lifecycle last wrote to it: the
+        same frozen within-chip pattern at drift age 0 under the same
+        sticky fault map.  So the recalibration books that state's stored
+        probed quality (the *fresh-state quality*) when
+
+        * the programmed chip is
+          :attr:`~repro.backends.ProgrammedChip.deterministic`, and
+        * the value was measured by this lifecycle on a state it wrote —
+          by :meth:`install`'s sweep for chips that were not resident
+          before it, or by an earlier recalibration's probe — under the
+          chip's current sticky fault map.
+
+        Otherwise it probes the chip, and that probe becomes the stored
+        value.  Both ways book the same number, so every decision, digest
+        and output is the same; only ``serve_probes_reused_total`` tells
+        them apart.
         """
         if quality_before is None:
             quality_before = chip.quality if chip.quality is not None else float("nan")
@@ -364,9 +431,16 @@ class ChipLifecycle:
         ) as span:
             invalidated = self.engine.reprogram(chip)
             span.set(invalidated=invalidated)
-        quality_after = self._book(
-            chip, self.engine.probe_chip(chip, self._probe_data, k=self.config.probe_k)
-        )
+        quality_after = self._fresh_quality(chip)
+        if quality_after is None:
+            quality_after = self.engine.probe_chip(
+                chip, self._probe_data, k=self.config.probe_k
+            )
+            self._remember_fresh(chip, quality_after)
+        else:
+            chip.quality = quality_after
+            self.engine.telemetry.record_probe_reused()
+        self._book(chip, quality_after)
         self.engine.telemetry.record_recalibration(chip.chip_id, self.time)
         event = RecalibrationEvent(
             time=self.time,

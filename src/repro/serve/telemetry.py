@@ -39,6 +39,9 @@ class ServeTelemetry:
     * ``recalibrations`` / ``quality_series`` — lifecycle events: per-chip
       recalibration counts and the probed accuracy-over-(virtual)-time
       series, which is what a drift/recovery curve is plotted from;
+    * ``probes`` / ``probes_reused`` — chip quality probes run, and
+      recalibrations booked from a stored fresh-state quality instead of
+      a probe (the ``probes`` section of :meth:`report`);
     * fault tolerance — fault events by kind and by chip, retry/hedge/
       dead-letter counters, recorded health transitions, spare-provisioning
       replacements, and ``goodput`` (served / (served + dead-lettered)),
@@ -122,6 +125,13 @@ class ServeTelemetry:
         self._fused_fallbacks = self.registry.counter(
             "serve_fused_fallback_batches_total",
             "batches dispatched per-chip while fusion was enabled",
+        )
+        self._probes = self.registry.counter(
+            "serve_probes_total", "chip quality probes run"
+        )
+        self._probes_reused = self.registry.counter(
+            "serve_probes_reused_total",
+            "recalibrations booked from the chip's stored fresh-state quality",
         )
         # Tick-valued like queue_ticks: a tight low edge plus an underflow
         # bucket for the zero-headroom / zero-lateness edge.
@@ -251,6 +261,14 @@ class ServeTelemetry:
         """Account ``batches`` batches dispatched per-chip despite fusion being on."""
         self._fused_fallbacks.inc(int(batches))
 
+    def record_probe(self) -> None:
+        """Account one chip quality probe (one probe-set pass through a chip)."""
+        self._probes.inc()
+
+    def record_probe_reused(self) -> None:
+        """Account one recalibration booked without re-running its probe."""
+        self._probes_reused.inc()
+
     def record_health_transition(self, transition) -> None:
         """Append one :class:`~repro.serve.health.HealthTransition`."""
         self.health_transitions.append(transition)
@@ -327,6 +345,14 @@ class ServeTelemetry:
         return self._fused_fallbacks.value
 
     @property
+    def probes(self) -> int:
+        return self._probes.value
+
+    @property
+    def probes_reused(self) -> int:
+        return self._probes_reused.value
+
+    @property
     def slo_attainment(self) -> float:
         """Fraction of deadline-bearing requests that met their deadline.
 
@@ -355,8 +381,9 @@ class ServeTelemetry:
         same digest, because fusion may change wall-clock timing and span
         structure but never what was served, by whom, in which batches,
         with what queueing, energy, SLO, or fault outcomes.  Wall-time
-        histograms (service/request seconds) and the fused counters
-        themselves are therefore excluded; everything else — request and
+        histograms (service/request seconds), the fused counters and the
+        probe counters (how a quality was measured, not what it was) are
+        therefore excluded; everything else — request and
         batch counts, per-chip load and energy, tick-valued histograms,
         fault/retry/dead-letter accounting, SLO series, lifecycle events
         — is included.
@@ -471,6 +498,7 @@ class ServeTelemetry:
                 "batches": self.fused_batches,
                 "fallback_batches": self.fused_fallback_batches,
             },
+            "probes": {"run": self.probes, "reused": self.probes_reused},
             "faults": {
                 "total": self.faults,
                 "by_kind": dict(self.fault_counts),

@@ -9,6 +9,7 @@ from repro.backends import (
     ChipBackend,
     CircuitBackend,
     FakeQuantBackend,
+    ProgrammedChip,
     make_backend,
     register_backend,
     replicate_for_programming,
@@ -17,6 +18,8 @@ from repro.datasets.loaders import batch_iterator
 from repro.datasets.synthetic import make_pattern_dataset
 from repro.models import build_model
 from repro.nn import init
+from repro.pim.converters import ADC
+from repro.pim.devices import DeviceModel
 from repro.pim.energy import CostReport
 from repro.quant.calibration import calibrate_model
 from repro.quant.ptq import convert_to_quantized, quantized_layers
@@ -254,6 +257,45 @@ class TestCircuitBackend:
         before = programmed.forward(x)
         programmed.refresh(_chip(spec, seed=2))
         assert not np.array_equal(programmed.forward(x), before)
+
+
+class TestDeterministic:
+    """``ProgrammedChip.deterministic``: whether a forward may be skipped
+    and its result taken from an earlier forward of the same state."""
+
+    def test_unknown_backends_must_opt_in(self):
+        assert ProgrammedChip("c", mapping=None).deterministic is False
+
+    @pytest.mark.parametrize(
+        "self_tuning", [None, SelfTuningConfig("global"), SelfTuningConfig("layer")]
+    )
+    def test_fake_quant_always(self, golden, self_tuning):
+        model, _ = golden
+        spec = _spec()
+        programmed = FakeQuantBackend().program(
+            model, _chip(spec), spec=spec, self_tuning=self_tuning
+        )
+        assert programmed.deterministic
+
+    def test_circuit_only_without_read_or_adc_noise(self, golden):
+        model, _ = golden
+        spec = _spec()
+
+        def program(**converters):
+            return CircuitBackend(array_rows=64, array_cols=64, **converters).program(
+                model, _chip(spec), spec=spec
+            )
+
+        assert program().deterministic
+        assert program(adc=ADC(bits=10, full_scale=64.0)).deterministic
+        assert not program(adc=ADC(ideal=True, noise_rms=0.1)).deterministic
+        programmed = program()
+        name = programmed.deployed[-1]
+        _, array = programmed.chip.layers[name].tiles[0]
+        array.device = DeviceModel(sigma_read=0.0)
+        assert programmed.deterministic
+        array.device = DeviceModel(sigma_read=0.01)
+        assert not programmed.deterministic
 
 
 class TestCostHook:

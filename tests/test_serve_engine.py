@@ -71,6 +71,40 @@ class TestValidation:
             _engine(model).run(dataset.images[:3], ids=["a", "b"])
 
 
+class TestServeConfigValidation:
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"max_batch": 0}, "max_batch"),
+            ({"max_batch": -4}, "max_batch"),
+            ({"max_batch": 2.5}, "max_batch"),
+            ({"max_batch": True}, "max_batch"),
+            ({"max_wait": -1}, "max_wait"),
+            ({"max_wait": 1.5}, "max_wait"),
+            ({"max_resident_chips": 0}, "max_resident_chips"),
+            ({"max_resident_chips": -1}, "max_resident_chips"),
+            ({"max_resident_chips": 2.0}, "max_resident_chips"),
+        ],
+    )
+    def test_invalid_config_rejected_at_construction(self, overrides, match):
+        """Bad sizes fail when the config is built, not mid-run."""
+        with pytest.raises(ValueError, match=match):
+            ServeConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"max_batch": 1},
+            {"max_wait": 0},
+            {"max_resident_chips": 1},
+            {"max_resident_chips": None},
+            {"max_batch": np.int64(8), "max_resident_chips": np.int64(2)},
+        ],
+    )
+    def test_boundary_config_accepted(self, overrides):
+        ServeConfig(**overrides)
+
+
 class TestServing:
     def test_every_request_answered_once(self, served_model):
         model, dataset = served_model

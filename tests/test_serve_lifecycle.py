@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.backends import CircuitBackend
 from repro.datasets.loaders import batch_iterator
 from repro.datasets.synthetic import make_pattern_dataset
 from repro.models import build_model
 from repro.nn import init
+from repro.pim.converters import ADC
 from repro.pim.drift import DriftingChip
 from repro.quant.calibration import calibrate_model
 from repro.quant.ptq import convert_to_quantized
 from repro.quant.qconfig import QConfig
+from repro.selftuning.tuner import SelfTuningConfig
 from repro.serve import (
     ChipLifecycle,
     FleetSpec,
@@ -19,6 +22,7 @@ from repro.serve import (
     ServeConfig,
     UniformTrace,
 )
+from repro.variability.faults import FaultSpec
 from repro.variability.models import WeightProportionalVariance
 from repro.variability.sampler import VariabilitySpec
 
@@ -135,6 +139,25 @@ class TestDrift:
         assert not lifecycle.events
 
 
+class TestProbeCadence:
+    def test_step_spanning_several_periods_sweeps_once(self, served_model):
+        """One sweep at the current time, then the next one back on the
+        ``probe_every`` grid — not one sweep per elapsed period."""
+        model, dataset = served_model
+        engine = _engine(model)
+        lifecycle = _lifecycle(engine, dataset, probe_every=4.0, recalibrate=False)
+        probes = engine.telemetry.probes
+        lifecycle.advance(12.0)
+        assert engine.telemetry.probes - probes == len(engine.fleet)
+        for chip in engine.fleet:
+            times = [time for time, _ in engine.telemetry.quality_timeline(chip.chip_id)]
+            assert times == [0.0, 12.0]
+        lifecycle.advance(4.0)
+        assert engine.telemetry.probes - probes == 2 * len(engine.fleet)
+        for chip in engine.fleet:
+            assert engine.telemetry.quality_timeline(chip.chip_id)[-1][0] == 16.0
+
+
 class TestRecalibration:
     def test_quality_floor_triggers_recalibration(self, served_model):
         model, dataset = served_model
@@ -170,7 +193,7 @@ class TestRecalibration:
         engine.warm_up()
         assert len(engine.cache) == 3
         lifecycle.recalibrate(engine.fleet[1])
-        # the recalibration probe reprograms chip 1; chips 0/2 stayed resident
+        # the recalibration reprograms chip 1; chips 0/2 stayed resident
         assert engine.cache.stats.invalidations == 1
         resident = {key[-1] for key in engine.cache.keys}
         assert engine.fleet[0].chip_id in resident
@@ -201,6 +224,111 @@ class TestRecalibration:
         lifecycle.recalibrate(chip)
         lifecycle.advance(5.0)
         assert chip.variation.eps_between != first_path_eps
+
+
+#: Fleets whose forward is deterministic, so a recalibration can book the
+#: rewritten chip's stored fresh-state quality.
+MEMO_FLEETS = {
+    "fake-quant": {},
+    "self-tuned-global": {"self_tuning": SelfTuningConfig("global", gtm_cells=1000)},
+    "self-tuned-layer": {"self_tuning": SelfTuningConfig("layer")},
+    "circuit": {"backend": "circuit"},
+}
+
+
+def _count_probes(monkeypatch) -> list:
+    """Record the chip id of every ``probe_chip`` call from now on."""
+    calls = []
+    probe_chip = InferenceEngine.probe_chip
+
+    def counted(self, chip, *args, **kwargs):
+        calls.append(chip.chip_id)
+        return probe_chip(self, chip, *args, **kwargs)
+
+    monkeypatch.setattr(InferenceEngine, "probe_chip", counted)
+    return calls
+
+
+def _pin_faults(engine):
+    chip = engine.fleet[0]
+    engine.inject_chip_faults(chip, FaultSpec(p_stuck_off=0.1), seed=1)
+    return chip
+
+
+class TestFreshStateQuality:
+    def _run(self, served_model, **config):
+        model, dataset = served_model
+        engine = _engine(
+            model, fleet_spec=FleetSpec.parse("rram:2,flash:1"),
+            policy="drift-aware", seed=3, **config,
+        )
+        lifecycle = _lifecycle(
+            engine, dataset, nu=0.8, probe_every=3.0, accuracy_floor=0.999, seed=3,
+        )
+        ids = [f"r{i:04d}" for i in range(40)]
+        outputs = engine.run_trace(
+            dataset.images[:40], UniformTrace(rate=2.0), ids=ids, lifecycle=lifecycle
+        )
+        return engine, lifecycle, [outputs[rid] for rid in ids]
+
+    @pytest.mark.parametrize("fleet", sorted(MEMO_FLEETS))
+    def test_booking_matches_reprobing(self, served_model, monkeypatch, fleet):
+        """Booking the stored quality changes nothing but the probe count."""
+        calls = _count_probes(monkeypatch)
+        engine, lifecycle, outputs = self._run(served_model, **MEMO_FLEETS[fleet])
+        booked_calls = len(calls)
+        # The reference: every recalibration re-runs its probe.
+        monkeypatch.setattr(ChipLifecycle, "_fresh_quality", lambda self, chip: None)
+        ref_engine, ref_lifecycle, ref_outputs = self._run(
+            served_model, **MEMO_FLEETS[fleet]
+        )
+        probed_calls = len(calls) - booked_calls
+
+        assert lifecycle.events, "the fleet must recalibrate for this test to bite"
+        assert engine.telemetry.digest() == ref_engine.telemetry.digest()
+        assert engine.telemetry.quality_series == ref_engine.telemetry.quality_series
+        assert lifecycle.events == ref_lifecycle.events
+        assert all(np.array_equal(a, b) for a, b in zip(outputs, ref_outputs))
+        # install() programmed every chip, so every recalibration books.
+        reused = engine.telemetry.probes_reused
+        assert reused == len(lifecycle.events)
+        assert probed_calls - booked_calls == reused
+        assert ref_engine.telemetry.probes_reused == 0
+        assert engine.telemetry.report()["probes"] == {"run": booked_calls, "reused": reused}
+
+    def test_noisy_adc_never_books(self, served_model):
+        backend = CircuitBackend(adc=ADC(ideal=True, noise_rms=0.5))
+        engine, lifecycle, _ = self._run(served_model, backend=backend)
+        assert lifecycle.events
+        assert engine.telemetry.probes_reused == 0
+
+    @pytest.mark.parametrize(
+        "warm, target",
+        [
+            (True, lambda engine: engine.fleet[0]),
+            (False, _pin_faults),
+            (False, lambda engine: engine.replace_chip(engine.fleet[0])),
+        ],
+        ids=["resident-before-install", "faults-pinned-after-install", "spare-replacement"],
+    )
+    def test_unrecorded_state_probes_once_then_books(self, served_model, warm, target):
+        """A state the lifecycle did not write and probe at drift age 0
+        gets one real probe, which becomes the stored value."""
+        model, dataset = served_model
+        engine = _engine(model)
+        if warm:
+            engine.warm_up()
+        lifecycle = _lifecycle(engine, dataset, probe_every=1000.0)
+        chip = target(engine)
+        telemetry = engine.telemetry
+        probes = telemetry.probes
+        first = lifecycle.recalibrate(chip)
+        assert (telemetry.probes - probes, telemetry.probes_reused) == (1, 0)
+        second = lifecycle.recalibrate(chip)
+        assert (telemetry.probes - probes, telemetry.probes_reused) == (1, 1)
+        assert second.quality_after == first.quality_after
+        # What was booked is what the rewritten chip measures.
+        assert engine.probe_chip(chip, dataset.subset(40)) == second.quality_after
 
 
 class TestDeterminism:

@@ -68,8 +68,8 @@ class ProgrammedChip:
         ``True`` promises that two chips programmed from the same variation
         and fault map compute bit-identical outputs on the same inputs, and
         that a forward draws from no random stream a later forward reads.
-        The lifecycle relies on it to book a rewritten chip's stored
-        fresh-state quality instead of re-probing.  ``False`` here, so a
+        The lifecycle relies on it to book the stored quality of a state
+        it has already probed instead of re-probing.  ``False`` here, so a
         backend must opt in.
         """
         return False

@@ -841,8 +841,8 @@ def _cmd_lifetime_bench(args) -> int:
         telemetry = run["engine"].telemetry
         print(f"telemetry digest: {telemetry.digest()} ({run['policy']})")
         print(
-            f"probes: {telemetry.probes} run, {telemetry.probes_reused} reused "
-            f"({run['policy']})"
+            f"probes: {telemetry.probes} run, {telemetry.probes_reused} reused, "
+            f"{run['recalibrations']} recalibrations ({run['policy']})"
         )
     store = ResultStore(args.results_dir)
     path = store.save(f"lifetime-bench-{args.model}", _drift_record(args, runs))

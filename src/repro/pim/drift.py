@@ -119,10 +119,11 @@ class DriftingChip(ChipVariation):
     per-layer ``eps_W`` draws) come from the wrapped chip; :meth:`advance_to`
     moves operating time forward, re-evaluating the drift process and
     updating the *effective* ``eps_between`` seen by injection and by the
-    tuning modules.  GTM measurements are keyed per measurement epoch, so a
-    re-measure after advancing time sees the drifted value (a stale
-    measurement from an earlier epoch stays stale — exactly the physical
-    behaviour a drift compensator must deal with).
+    tuning modules.  Tuning-module readings cached in :attr:`measurements`
+    (the GTM's ``gtm:<cells>`` entry) are *not* refreshed by advancing: a
+    reading stays until :meth:`remeasure` discards it, and the next read
+    sees the drifted value — exactly the stale-measurement behaviour a
+    drift compensator must deal with.
     """
 
     def __init__(
@@ -139,7 +140,6 @@ class DriftingChip(ChipVariation):
         self.fabrication_eps = float(base.eps_between)
         self.process = process
         self.time = 0.0
-        self.measurement_epoch = 0
         self._drift_rng = np.random.default_rng(seed)
 
     def advance_to(self, time: float) -> float:
@@ -149,11 +149,9 @@ class DriftingChip(ChipVariation):
         self.time = time
         drift = self.process.epsilon_at(time, self._drift_rng)
         self.eps_between = self.fabrication_eps + drift
-        # Old GTM measurements (cached in self.measurements) become stale
-        # rather than being invalidated: a physical chip keeps whatever its
-        # last measurement was until someone re-measures.  Bumping the epoch
-        # lets a drift compensator decide when to re-measure.
-        self.measurement_epoch += 1
+        # Cached GTM readings (self.measurements) go stale rather than being
+        # invalidated: a physical chip keeps its last reading until someone
+        # re-measures (remeasure()).
         return self.eps_between
 
     def remeasure(self) -> None:

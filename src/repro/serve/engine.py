@@ -22,7 +22,6 @@ because both backends treat batch rows independently.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -43,7 +42,7 @@ from repro.quant.ptq import quantized_layers
 from repro.selftuning.tuner import SelfTuningConfig
 from repro.serve.batcher import Batch, MicroBatcher, Request
 from repro.serve.cache import MappingCache, mapping_key
-from repro.serve.faults import ChipFault, DeadLetter, RetryPolicy
+from repro.serve.faults import ChipFault, DeadLetter, RetryPolicy, require_int
 from repro.serve.health import HealthConfig, HealthMonitor
 from repro.serve.scheduler import dispatchable, make_policy
 from repro.serve.telemetry import ServeTelemetry
@@ -125,18 +124,10 @@ class ServeConfig:
     max_resident_chips: int | None = None
 
     def __post_init__(self) -> None:
-        _require_int("max_batch", self.max_batch, minimum=1)
-        _require_int("max_wait", self.max_wait, minimum=0)
+        require_int("max_batch", self.max_batch, minimum=1)
+        require_int("max_wait", self.max_wait, minimum=0)
         if self.max_resident_chips is not None:
-            _require_int("max_resident_chips", self.max_resident_chips, minimum=1)
-
-
-def _require_int(name: str, value, minimum: int) -> None:
-    # bool is an int subclass, but max_batch=True is a typo, not a size.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+            require_int("max_resident_chips", self.max_resident_chips, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -266,7 +257,10 @@ class FleetChip:
     (:func:`repro.serve.scheduler.dispatchable`).  ``fault_events`` counts
     every fault this chip has thrown (transients, latency spikes, its
     death) — the deterministic risk signal the ``latency-aware`` policy
-    steers urgent batches away from.
+    steers urgent batches away from.  ``probe_deterministic`` records
+    whether the chip's last :meth:`InferenceEngine.probe_chip` ran a
+    deterministic forward (:attr:`~repro.backends.ProgrammedChip.deterministic`),
+    i.e. whether probing the same state again returns the same ``quality``.
 
     Chips are lazy: constructed from a :class:`ChipDescriptor`, the
     handle is pure bookkeeping until the first :attr:`variation` access
@@ -314,6 +308,7 @@ class FleetChip:
         self.energy_uj = energy_uj
         self.health = health
         self.fault_events = fault_events
+        self.probe_deterministic = False
 
     @property
     def variation(self) -> ChipVariation:
@@ -780,7 +775,10 @@ class InferenceEngine:
 
         ``stack`` is a probe sweep's chunk stack: when it covers the chip,
         the chip runs through :meth:`FusedFleetForward.forward_shared`,
-        reusing the stack's first-layer work on the probe batch.
+        reusing the stack's first-layer work on the probe batch.  The
+        handle also records whether the probed forward was deterministic
+        (:attr:`FleetChip.probe_deterministic`), so a caller can tell a
+        repeatable measurement without the programmed chip in hand.
         """
         self.telemetry.record_probe()
         with self.obs.span("probe", chip=chip.chip_id) as span:
@@ -796,6 +794,7 @@ class InferenceEngine:
             chip.quality = topk_accuracy(
                 np.concatenate(logits), np.concatenate(targets), k=k
             )
+            chip.probe_deterministic = programmed.deterministic
             span.set(quality=chip.quality, shared=shared)
         return chip.quality
 

@@ -37,6 +37,8 @@ the fault map.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +59,15 @@ class ChipFault(RuntimeError):
         self.chip_id = chip_id
 
 
+def require_int(name: str, value, minimum: int) -> None:
+    """Reject a config size that is not an int >= ``minimum`` (numpy ints
+    pass; bools do not — ``max_attempts=True`` is a typo, not a budget)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential backoff, hedging, and a timeout.
@@ -70,6 +81,11 @@ class RetryPolicy:
     request's total queue residency: a request that failed a cycle after
     sitting that long is dead-lettered even with attempts left.  Requests
     out of budget land in a :class:`DeadLetter` record, never an exception.
+
+    The budgets are checked at construction: ``max_attempts``,
+    ``backoff_base`` and ``max_backoff`` are ints >= 1, ``timeout_ticks``
+    is ``None`` or an int >= 1, and ``backoff_factor`` is a finite number
+    >= 1.
     """
 
     max_attempts: int = 3
@@ -80,19 +96,27 @@ class RetryPolicy:
     timeout_ticks: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base < 1 or self.max_backoff < 1:
-            raise ValueError("backoff_base and max_backoff must be >= 1 tick")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.timeout_ticks is not None and self.timeout_ticks < 1:
-            raise ValueError("timeout_ticks must be >= 1 or None")
+        require_int("max_attempts", self.max_attempts, minimum=1)
+        require_int("backoff_base", self.backoff_base, minimum=1)
+        require_int("max_backoff", self.max_backoff, minimum=1)
+        if self.timeout_ticks is not None:
+            require_int("timeout_ticks", self.timeout_ticks, minimum=1)
+        factor = self.backoff_factor
+        if (
+            isinstance(factor, bool)
+            or not isinstance(factor, numbers.Real)
+            or not math.isfinite(factor)
+            or factor < 1.0
+        ):
+            raise ValueError(f"backoff_factor must be finite and >= 1, got {factor!r}")
 
     def backoff_for(self, cycle: int) -> int:
         """Park duration (ticks) after the ``cycle``-th failed dispatch."""
-        ticks = self.backoff_base * self.backoff_factor ** max(0, cycle - 1)
-        return max(1, min(int(ticks), self.max_backoff))
+        try:
+            ticks = self.backoff_base * self.backoff_factor ** max(0, cycle - 1)
+        except OverflowError:  # the power left the float range, far past the cap
+            return self.max_backoff
+        return max(1, int(min(ticks, self.max_backoff)))
 
 
 @dataclass(frozen=True)

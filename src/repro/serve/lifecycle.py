@@ -29,11 +29,15 @@ closes that loop inside the serving engine:
    rewritten via :meth:`~repro.serve.engine.InferenceEngine.reprogram` —
    its stale cache entry (and only that entry) is invalidated and the
    chip's owning :class:`~repro.backends.ChipBackend` programs a fresh
-   mapping; healthy chips stay resident, no fleet-wide flush.  The
-   rewritten chip is bit-identical to the state the lifecycle last wrote
-   to it, so when that state's probed quality is on record (and the
-   chip's forward is deterministic) the recalibration books it instead of
-   re-running the probe — see :meth:`ChipLifecycle.recalibrate`.
+   mapping; healthy chips stay resident, no fleet-wide flush.
+
+Drift moves only a chip's ``eps_B``, and aging drift is deterministic, so
+a recalibrated chip retraces the exact states of its earlier drift cycles.
+Every probe is therefore remembered under the chip's *state* — its id,
+``eps_between``, sticky fault map and cached GTM reading — and a sweep or a
+recalibration that finds a chip back in a remembered state books the
+stored quality instead of re-running a bit-identical probe (the probe
+memo, see :class:`ChipLifecycle`).
 
 Everything is deterministic from the engine seed, the lifecycle seed, and
 the trace: the same run reproduces the same recalibration schedule and the
@@ -81,9 +85,9 @@ class LifecycleConfig:
     by its device technology's severity
     (:attr:`repro.pim.devices.DeviceModel.drift_scale`), so a mixed fleet
     ages heterogeneously — the regime the drift-aware schedulers exist for.
-    A recalibration runs its own probe only when it cannot book the
-    rewritten chip's stored fresh-state quality
-    (:meth:`ChipLifecycle.recalibrate`).
+    A sweep probes, and a recalibration runs its own probe, only for chips
+    whose current state has no stored quality; the rest book the stored
+    value (the probe memo, :class:`ChipLifecycle`).
 
     ``predict_quality`` turns on model-predictive quality estimation:
     between probes, each chip's ``quality`` estimate is decayed as
@@ -161,6 +165,31 @@ class ChipLifecycle:
     ``install`` wraps every fleet chip in a drifting variation and records
     the time-zero quality baseline; :meth:`advance` (called once per tick
     by ``run_trace``, or manually) moves physics forward.
+
+    **Probe memo.**  A programmed chip's forward is a function of its id
+    (the frozen within-chip pattern), ``variation.eps_between`` (added to
+    that pattern at query time), its sticky fault map (re-applied on every
+    program) and, when self-tuned, the GTM reading cached in
+    ``variation.measurements`` (kept until ``remeasure()``).  The memo
+    stores a probed quality under that state, read after the probe, when
+
+    * the probe's forward was deterministic
+      (:attr:`~repro.serve.engine.FleetChip.probe_deterministic`), and
+    * this lifecycle wrote the chip's current lineage — :meth:`install`
+      for chips that were not resident before it, or the chip's latest
+      :meth:`recalibrate` — under its current sticky fault map.
+
+    Every sweep and recalibration looks each chip's state up first and
+    books a stored quality instead of probing: the chip's ``quality`` is
+    set and ``serve_probes_reused_total`` counts it, and the chip is not
+    programmed, refreshed or stacked.  The value is what the probe would
+    measure, so every decision, digest and output is unchanged.  A chip
+    resident before :meth:`install`, a chip whose faults were pinned after
+    its lineage was written, and a spare replacement are probed for real
+    until their next recalibration; temperature drift never revisits an
+    ``eps_between``, so its sweeps always probe.  The memo holds at most
+    one entry per remembered probe, and a replaced chip's entries go with
+    it.
     """
 
     engine: InferenceEngine
@@ -173,9 +202,12 @@ class ChipLifecycle:
         self._bases: dict[int, object] = {}
         self._baseline: dict[str, float] = {}
         self._anchor: dict[str, tuple[float, float]] = {}
-        #: chip id -> (sticky fault map, probed quality) of the state this
-        #: lifecycle last wrote to the chip at drift age 0.
-        self._fresh: dict[str, tuple[object, float]] = {}
+        #: The probe memo: chip id -> {state (see _state): probed quality}.
+        self._memo: dict[str, dict[tuple, float]] = {}
+        #: chip id -> the sticky fault map this lifecycle last wrote the
+        #: chip under (install() for cold chips, else its latest
+        #: recalibration); only these chips' probes are remembered.
+        self._written: dict[str, object] = {}
         self._next_probe = float(self.config.probe_every)
         self._probe_data = (
             self.probe_set.subset(self.config.probe_subset)
@@ -208,15 +240,12 @@ class ChipLifecycle:
         # The sweep programs the chips that are not resident, at drift age
         # 0: their probe measures exactly what a recalibration rewrites.  A
         # resident chip keeps whatever was done to it before install().
-        cold = [
-            chip for chip in chips
-            if self.engine.cache.peek(self.engine.key_for(chip)) is None
-        ]
+        for chip in chips:
+            if self.engine.cache.peek(self.engine.key_for(chip)) is None:
+                self._written[chip.chip_id] = self.engine.sticky_faults(chip)
         qualities = self._sweep(chips)
         for chip in chips:
             self._baseline[chip.chip_id] = self._book(chip, qualities[chip.chip_id])
-        for chip in cold:
-            self._remember_fresh(chip, qualities[chip.chip_id])
         return dict(self._baseline)
 
     def _adopt_replacement(self, old_chip: FleetChip, new_chip: FleetChip) -> None:
@@ -240,7 +269,8 @@ class ChipLifecycle:
         new_chip.age = 0.0
         new_chip.mapping_stale = True
         self._anchor.pop(old_chip.chip_id, None)
-        self._fresh.pop(old_chip.chip_id, None)
+        self._memo.pop(old_chip.chip_id, None)
+        self._written.pop(old_chip.chip_id, None)
 
     def drift_scale(self, chip: FleetChip) -> float:
         """Technology severity multiplier for one chip's drift process.
@@ -300,11 +330,24 @@ class ChipLifecycle:
     # Quality monitor + recalibration
     # ------------------------------------------------------------------
     def _sweep(self, chips: list[FleetChip]) -> dict[str, float]:
-        """Probe ``chips`` in one engine sweep: ``{chip_id: quality}``."""
-        with self.engine.obs.span("lifecycle.probe", chips=len(chips), time=self.time):
-            return self.engine.probe_fleet(
-                self._probe_data, k=self.config.probe_k, chips=chips
-            )
+        """Every chip's current quality, ``{chip_id: quality}``.
+
+        Chips whose state is in the probe memo are booked from it; the rest
+        are probed in one engine sweep, and each probe is remembered.
+        """
+        qualities = {chip.chip_id: self._recall(chip) for chip in chips}
+        unknown = [chip for chip in chips if qualities[chip.chip_id] is None]
+        if unknown:
+            with self.engine.obs.span(
+                "lifecycle.probe", chips=len(unknown), time=self.time
+            ):
+                probed = self.engine.probe_fleet(
+                    self._probe_data, k=self.config.probe_k, chips=unknown
+                )
+            for chip in unknown:
+                qualities[chip.chip_id] = probed[chip.chip_id]
+                self._remember(chip, probed[chip.chip_id])
+        return qualities
 
     def _book(self, chip: FleetChip, quality: float) -> float:
         """Book one probed quality: telemetry, anchor, baseline, health.
@@ -321,27 +364,36 @@ class ChipLifecycle:
         self.engine.health.on_probe(chip, quality, tick=self.engine.now)
         return quality
 
-    def _remember_fresh(self, chip: FleetChip, quality: float) -> None:
-        """Store ``quality`` as the chip's fresh-state quality.
+    def _state(self, chip: FleetChip) -> tuple:
+        """The chip's memo key beside its id: what its forward depends on."""
+        variation = chip.variation
+        return (
+            float(variation.eps_between),
+            self.engine.sticky_faults(chip),
+            tuple(sorted(variation.measurements.items())),
+        )
 
-        Call only with a probe of a state this lifecycle just wrote: the
-        chip programmed at drift age 0 under its current sticky fault map.
+    def _recall(self, chip: FleetChip) -> float | None:
+        """Book the stored quality of the chip's current state, or None.
+
+        A hit stands in for a probe: it lands on the chip handle and counts
+        in ``serve_probes_reused_total``.  A self-tuned chip with no GTM
+        reading yet misses, since every stored state carries one.
         """
-        self._fresh[chip.chip_id] = (self.engine.sticky_faults(chip), quality)
+        quality = self._memo.get(chip.chip_id, {}).get(self._state(chip))
+        if quality is not None:
+            chip.quality = quality
+            self.engine.telemetry.record_probe_reused()
+        return quality
 
-    def _fresh_quality(self, chip: FleetChip) -> float | None:
-        """The stored fresh-state quality of a just-rewritten chip, or None.
-
-        Valid when the chip's forward is deterministic and no stuck-at map
-        was pinned (or changed) since the value was measured.
-        """
-        entry = self._fresh.get(chip.chip_id)
-        if entry is None or entry[0] != self.engine.sticky_faults(chip):
-            return None
-        programmed = self.engine.cache.peek(self.engine.key_for(chip))
-        if programmed is None or not programmed.deterministic:
-            return None
-        return entry[1]
+    def _remember(self, chip: FleetChip, quality: float) -> None:
+        """Store a real probe's quality under the chip's state, if it may be."""
+        if (
+            chip.probe_deterministic
+            and chip.chip_id in self._written
+            and self._written[chip.chip_id] == self.engine.sticky_faults(chip)
+        ):
+            self._memo.setdefault(chip.chip_id, {})[self._state(chip)] = quality
 
     def _update_quality_estimates(self) -> None:
         """Extrapolate each chip's quality from its last probe anchor.
@@ -400,22 +452,15 @@ class ChipLifecycle:
         drops the chip's cache entry — and only that entry — and rewrites
         the chip through its owning backend, whichever fidelity that is.
 
-        The rewritten chip is the state the lifecycle last wrote to it: the
-        same frozen within-chip pattern at drift age 0 under the same
-        sticky fault map.  So the recalibration books that state's stored
-        probed quality (the *fresh-state quality*) when
-
-        * the programmed chip is
-          :attr:`~repro.backends.ProgrammedChip.deterministic`, and
-        * the value was measured by this lifecycle on a state it wrote —
-          by :meth:`install`'s sweep for chips that were not resident
-          before it, or by an earlier recalibration's probe — under the
-          chip's current sticky fault map.
-
-        Otherwise it probes the chip, and that probe becomes the stored
-        value.  Both ways book the same number, so every decision, digest
-        and output is the same; only ``serve_probes_reused_total`` tells
-        them apart.
+        The rewrite starts a lineage this lifecycle wrote, at drift age 0:
+        the same frozen within-chip pattern under the same sticky fault
+        map, with the GTM reading taken as it is programmed — the state the
+        chip's previous recalibration, or :meth:`install`, wrote.  So the
+        quality after is the probe memo's lookup at that state (see
+        :class:`ChipLifecycle`): booked when the state was remembered,
+        probed — and remembered — otherwise.  Both ways book the same
+        number, so every decision, digest and output is the same; only
+        ``serve_probes_reused_total`` tells them apart.
         """
         if quality_before is None:
             quality_before = chip.quality if chip.quality is not None else float("nan")
@@ -431,15 +476,13 @@ class ChipLifecycle:
         ) as span:
             invalidated = self.engine.reprogram(chip)
             span.set(invalidated=invalidated)
-        quality_after = self._fresh_quality(chip)
+        self._written[chip.chip_id] = self.engine.sticky_faults(chip)
+        quality_after = self._recall(chip)
         if quality_after is None:
             quality_after = self.engine.probe_chip(
                 chip, self._probe_data, k=self.config.probe_k
             )
-            self._remember_fresh(chip, quality_after)
-        else:
-            chip.quality = quality_after
-            self.engine.telemetry.record_probe_reused()
+            self._remember(chip, quality_after)
         self._book(chip, quality_after)
         self.engine.telemetry.record_recalibration(chip.chip_id, self.time)
         event = RecalibrationEvent(

@@ -40,8 +40,9 @@ class ServeTelemetry:
       recalibration counts and the probed accuracy-over-(virtual)-time
       series, which is what a drift/recovery curve is plotted from;
     * ``probes`` / ``probes_reused`` — chip quality probes run, and
-      recalibrations booked from a stored fresh-state quality instead of
-      a probe (the ``probes`` section of :meth:`report`);
+      probes the lifecycle booked from the stored quality of a state
+      already probed instead of running them (the ``probes`` section of
+      :meth:`report`);
     * fault tolerance — fault events by kind and by chip, retry/hedge/
       dead-letter counters, recorded health transitions, spare-provisioning
       replacements, and ``goodput`` (served / (served + dead-lettered)),
@@ -131,7 +132,7 @@ class ServeTelemetry:
         )
         self._probes_reused = self.registry.counter(
             "serve_probes_reused_total",
-            "recalibrations booked from the chip's stored fresh-state quality",
+            "chip quality probes booked from the stored quality of the same state",
         )
         # Tick-valued like queue_ticks: a tight low edge plus an underflow
         # bucket for the zero-headroom / zero-lateness edge.
@@ -266,7 +267,7 @@ class ServeTelemetry:
         self._probes.inc()
 
     def record_probe_reused(self) -> None:
-        """Account one recalibration booked without re-running its probe."""
+        """Account one probe booked from the lifecycle's probe memo."""
         self._probes_reused.inc()
 
     def record_health_transition(self, transition) -> None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pim.drift import AgingDrift, DriftingChip, TemperatureDrift, drift_trajectory
+from repro.selftuning.gtm import GlobalTuningModule
 from repro.variability.sampler import VariabilitySampler, VariabilitySpec
 from repro.variability.models import WeightProportionalVariance
 
@@ -130,12 +131,19 @@ class TestDriftingChip:
         drifting.remeasure()
         assert not drifting.measurements
 
-    def test_measurement_epoch_counts_advances(self):
+    def test_gtm_reading_stays_until_remeasure(self):
+        """Advancing leaves a cached GTM reading as it was; a read after
+        ``remeasure()`` sees the drifted eps_B."""
         drifting = DriftingChip(_chip(), AgingDrift(nu=0.1))
-        assert drifting.measurement_epoch == 0
-        drifting.advance_to(1.0)
-        drifting.advance_to(2.0)
-        assert drifting.measurement_epoch == 2
+        gtm = GlobalTuningModule(num_cells=1000)
+        before = gtm.estimate(drifting)
+        drifting.advance_to(10.0)
+        assert gtm.estimate(drifting) == before
+        drifting.remeasure()
+        after = gtm.estimate(drifting)
+        shift = drifting.eps_between - drifting.fabrication_eps
+        assert after != before
+        assert after - before == pytest.approx(shift)
 
 
 class TestTrajectory:

@@ -73,13 +73,45 @@ class TestValidation:
         with pytest.raises(ValueError):
             FaultPlan(horizon=0)
 
-    def test_retry_policy_rejects_bad_budgets(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout_ticks=0)
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"max_attempts": 0}, "max_attempts"),
+            ({"max_attempts": 1.5}, "max_attempts"),
+            ({"max_attempts": True}, "max_attempts"),
+            ({"backoff_base": 0}, "backoff_base"),
+            ({"backoff_base": 2.0}, "backoff_base"),
+            ({"max_backoff": 0}, "max_backoff"),
+            ({"max_backoff": False}, "max_backoff"),
+            ({"timeout_ticks": 0}, "timeout_ticks"),
+            ({"timeout_ticks": 2.5}, "timeout_ticks"),
+            ({"timeout_ticks": True}, "timeout_ticks"),
+            ({"backoff_factor": 0.5}, "backoff_factor"),
+            ({"backoff_factor": float("nan")}, "backoff_factor"),
+            ({"backoff_factor": float("inf")}, "backoff_factor"),
+            ({"backoff_factor": True}, "backoff_factor"),
+        ],
+    )
+    def test_invalid_retry_policy_rejected(self, overrides, match):
+        """Bad budgets fail when the policy is built, not at the first retry."""
+        with pytest.raises(ValueError, match=match):
+            RetryPolicy(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"max_attempts": 1, "backoff_base": 1, "max_backoff": 1},
+            {"backoff_factor": 1.0},
+            {"timeout_ticks": 1},
+            {"timeout_ticks": None},
+            {"max_attempts": np.int64(4), "timeout_ticks": np.int32(6)},
+            {"backoff_factor": 1e200},
+        ],
+    )
+    def test_boundary_retry_policy_accepted(self, overrides):
+        policy = RetryPolicy(**overrides)
+        backoffs = [policy.backoff_for(cycle) for cycle in range(1, 6)]
+        assert all(1 <= ticks <= policy.max_backoff for ticks in backoffs)
 
     def test_backoff_grows_and_caps(self):
         policy = RetryPolicy(backoff_base=1, backoff_factor=2.0, max_backoff=5)

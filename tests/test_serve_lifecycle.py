@@ -107,7 +107,8 @@ class TestDrift:
     def test_drift_refreshes_resident_mapping(self, served_model):
         """A cached mapping must track the physical chip's drifted state."""
         model, dataset = served_model
-        engine = _engine(model, max_batch=1, max_wait=0)
+        # One chip, so both requests run on the same resident mapping.
+        engine = _engine(model, num_chips=1, max_batch=1, max_wait=0)
         lifecycle = _lifecycle(engine, dataset, probe_every=1000.0, nu=0.5)
         sample = dataset.images[:1]
         fresh = engine.run(sample, ids=["t0"])["t0"]
@@ -115,13 +116,10 @@ class TestDrift:
         misses_before = engine.cache.stats.misses
         lifecycle.advance(20.0)
         aged = engine.run(sample, ids=["t1"])["t1"]
-        # chip 0 served t0; round-robin means t1 went to chip 1 — force both
-        # onto chip 0 by comparing through probe instead: drift must change
-        # the resident mapping's outputs without any cache traffic beyond
-        # the serving lookups themselves.
-        assert engine.cache.stats.misses == misses_before  # no reprogramming
+        # Drift changed the resident mapping's outputs without reprogramming.
+        assert not np.array_equal(fresh, aged)
+        assert engine.cache.stats.misses == misses_before
         assert engine.cache.stats.hits > hits_before
-        del fresh, aged
 
     def test_drift_degrades_quality_and_probe_records_series(self, served_model):
         model, dataset = served_model
@@ -226,13 +224,17 @@ class TestRecalibration:
         assert chip.variation.eps_between != first_path_eps
 
 
-#: Fleets whose forward is deterministic, so a recalibration can book the
-#: rewritten chip's stored fresh-state quality.
+#: Fleets whose forward is deterministic, so the probe memo books: every
+#: recalibration, and every sweep that finds a recalibrated chip back at an
+#: age already probed.  Two resident chips out of three make sweeps chunk
+#: and spill, stacked or not.
 MEMO_FLEETS = {
     "fake-quant": {},
     "self-tuned-global": {"self_tuning": SelfTuningConfig("global", gtm_cells=1000)},
     "self-tuned-layer": {"self_tuning": SelfTuningConfig("layer")},
     "circuit": {"backend": "circuit"},
+    "resident-2-fused": {"max_resident_chips": 2},
+    "resident-2-unfused": {"max_resident_chips": 2, "fused": False},
 }
 
 
@@ -249,21 +251,45 @@ def _count_probes(monkeypatch) -> list:
     return calls
 
 
+def _decided(events) -> list:
+    """What each recalibration decided and measured (no cache bookkeeping)."""
+    return [
+        (event.time, event.chip_id, event.quality_before, event.quality_after)
+        for event in events
+    ]
+
+
+def _memo_off(monkeypatch) -> None:
+    """The reference lifecycle: nothing is booked, every lookup misses."""
+    monkeypatch.setattr(ChipLifecycle, "_recall", lambda self, chip: None)
+
+
 def _pin_faults(engine):
     chip = engine.fleet[0]
     engine.inject_chip_faults(chip, FaultSpec(p_stuck_off=0.1), seed=1)
     return chip
 
 
+def _remeasure(engine):
+    chip = engine.fleet[0]
+    chip.variation.remeasure()
+    return chip
+
+
 class TestFreshStateQuality:
-    def _run(self, served_model, **config):
+    """The probe memo: booked qualities are exactly what probes measure."""
+
+    def _run(self, served_model, warm=False, lifecycle_overrides=None, **config):
         model, dataset = served_model
         engine = _engine(
             model, fleet_spec=FleetSpec.parse("rram:2,flash:1"),
             policy="drift-aware", seed=3, **config,
         )
+        if warm:
+            engine.warm_up()
         lifecycle = _lifecycle(
             engine, dataset, nu=0.8, probe_every=3.0, accuracy_floor=0.999, seed=3,
+            **(lifecycle_overrides or {}),
         )
         ids = [f"r{i:04d}" for i in range(40)]
         outputs = engine.run_trace(
@@ -271,30 +297,105 @@ class TestFreshStateQuality:
         )
         return engine, lifecycle, [outputs[rid] for rid in ids]
 
-    @pytest.mark.parametrize("fleet", sorted(MEMO_FLEETS))
-    def test_booking_matches_reprobing(self, served_model, monkeypatch, fleet):
-        """Booking the stored quality changes nothing but the probe count."""
+    def _against_reference(self, served_model, monkeypatch, **run):
+        """Run with the memo, then without it: everything but the probe
+        counts must match.  Returns the memo run's engine and lifecycle."""
         calls = _count_probes(monkeypatch)
-        engine, lifecycle, outputs = self._run(served_model, **MEMO_FLEETS[fleet])
+        engine, lifecycle, outputs = self._run(served_model, **run)
         booked_calls = len(calls)
-        # The reference: every recalibration re-runs its probe.
-        monkeypatch.setattr(ChipLifecycle, "_fresh_quality", lambda self, chip: None)
-        ref_engine, ref_lifecycle, ref_outputs = self._run(
-            served_model, **MEMO_FLEETS[fleet]
-        )
+        _memo_off(monkeypatch)
+        ref_engine, ref_lifecycle, ref_outputs = self._run(served_model, **run)
         probed_calls = len(calls) - booked_calls
 
         assert lifecycle.events, "the fleet must recalibrate for this test to bite"
         assert engine.telemetry.digest() == ref_engine.telemetry.digest()
         assert engine.telemetry.quality_series == ref_engine.telemetry.quality_series
-        assert lifecycle.events == ref_lifecycle.events
+        assert _decided(lifecycle.events) == _decided(ref_lifecycle.events)
+        if run.get("max_resident_chips") is None:
+            # Every chip stays resident, so each rewrite drops one cache
+            # entry either way; on a bounded cache the memo leaves booked
+            # chips unprogrammed, and ``invalidated`` counts what was resident.
+            assert lifecycle.events == ref_lifecycle.events
         assert all(np.array_equal(a, b) for a, b in zip(outputs, ref_outputs))
-        # install() programmed every chip, so every recalibration books.
         reused = engine.telemetry.probes_reused
-        assert reused == len(lifecycle.events)
         assert probed_calls - booked_calls == reused
         assert ref_engine.telemetry.probes_reused == 0
         assert engine.telemetry.report()["probes"] == {"run": booked_calls, "reused": reused}
+        return engine, lifecycle
+
+    @pytest.mark.parametrize("fleet", sorted(MEMO_FLEETS))
+    def test_booking_matches_reprobing(self, served_model, monkeypatch, fleet):
+        """Booking the stored quality changes nothing but the probe count."""
+        engine, lifecycle = self._against_reference(
+            served_model, monkeypatch, **MEMO_FLEETS[fleet]
+        )
+        # install() programmed every chip, so every recalibration books, and
+        # some sweep finds a recalibrated chip back at an age already probed.
+        assert engine.telemetry.probes_reused > len(lifecycle.events)
+
+    def test_temperature_drift_books_no_sweep(self, served_model, monkeypatch):
+        """An OU path never revisits an eps_between: only recalibrations,
+        back at drift age 0, book."""
+        engine, lifecycle = self._against_reference(
+            served_model, monkeypatch,
+            lifecycle_overrides={"drift": "temperature", "sigma": 0.5},
+        )
+        assert engine.telemetry.probes_reused == len(lifecycle.events)
+
+    def test_resident_before_install_books_after_recalibrating(
+        self, served_model, monkeypatch
+    ):
+        """A chip the lifecycle did not write is probed for real — in sweeps
+        and at its first recalibration — and books only from then on."""
+        lookups = []
+        recall = ChipLifecycle._recall
+
+        def spied(self, chip):
+            quality = recall(self, chip)
+            lookups.append((chip.chip_id, chip.recalibrations, quality is not None))
+            return quality
+
+        monkeypatch.setattr(ChipLifecycle, "_recall", spied)
+        engine, _ = self._against_reference(served_model, monkeypatch, warm=True)
+        for chip in engine.fleet:
+            mine = [(cycle, hit) for chip_id, cycle, hit in lookups if chip_id == chip.chip_id]
+            assert not any(hit for cycle, hit in mine if cycle == 0)
+            # The first recalibration's own lookup misses too.
+            assert not next((hit for cycle, hit in mine if cycle == 1), False)
+        assert any(hit for _, _, hit in lookups)
+
+    @pytest.mark.parametrize(
+        "config, disturb",
+        [({}, _pin_faults), ({"self_tuning": SelfTuningConfig("global")}, _remeasure)],
+        ids=["faults-pinned", "gtm-remeasured"],
+    )
+    def test_changed_state_probes_for_real(
+        self, served_model, monkeypatch, config, disturb
+    ):
+        """A chip back at a remembered drift age books, unless its fault map
+        or GTM reading changed since: then its next sweep probes."""
+        model, dataset = served_model
+        calls = _count_probes(monkeypatch)
+
+        def scenario():
+            engine = _engine(model, **config)
+            lifecycle = _lifecycle(engine, dataset, probe_every=4.0, recalibrate=False)
+            lifecycle.advance(4.0)  # every chip probed at drift age 4
+            for chip in engine.fleet:
+                lifecycle.recalibrate(chip)
+            disturbed = disturb(engine)
+            start = len(calls)
+            lifecycle.advance(4.0)  # back at drift age 4
+            return engine, disturbed, calls[start:]
+
+        engine, disturbed, swept = scenario()
+        assert swept == [disturbed.chip_id]
+        assert engine.telemetry.probes_reused == 2 * len(engine.fleet) - 1
+        _memo_off(monkeypatch)
+        ref_engine, _, ref_swept = scenario()
+        assert ref_swept == [chip.chip_id for chip in ref_engine.fleet]
+        assert engine.telemetry.quality_series == ref_engine.telemetry.quality_series
+        assert engine.telemetry.digest() == ref_engine.telemetry.digest()
 
     def test_noisy_adc_never_books(self, served_model):
         backend = CircuitBackend(adc=ADC(ideal=True, noise_rms=0.5))

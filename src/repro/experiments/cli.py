@@ -842,6 +842,7 @@ def _cmd_lifetime_bench(args) -> int:
         print(f"telemetry digest: {telemetry.digest()} ({run['policy']})")
         print(
             f"probes: {telemetry.probes} run, {telemetry.probes_reused} reused, "
+            f"{telemetry.probes_deferred} deferred, "
             f"{run['recalibrations']} recalibrations ({run['policy']})"
         )
     store = ResultStore(args.results_dir)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.pim.drift import require_real
+
 
 @dataclass(frozen=True)
 class DeviceModel:
@@ -38,6 +40,7 @@ class DeviceModel:
     ``drift_scale`` is the relative severity of time-dependent conductance
     drift (see :mod:`repro.pim.drift`): 1.0 is PCM/RRAM-class log-time
     decay, flash retention is far tighter, bistable MRAM barely moves.
+    Every real is finite; the sigmas and ``drift_scale`` are >= 0.
     """
 
     name: str = "generic"
@@ -50,14 +53,15 @@ class DeviceModel:
     drift_scale: float = 1.0
 
     def __post_init__(self) -> None:
+        require_real("g_min", self.g_min)
+        require_real("g_max", self.g_max)
         if self.g_max <= self.g_min:
             raise ValueError("g_max must exceed g_min")
         if self.bits_per_cell < 1:
             raise ValueError("need at least one bit per cell")
-        if self.sigma_program < 0.0 or self.sigma_read < 0.0:
-            raise ValueError("noise sigmas must be non-negative")
-        if self.drift_scale < 0.0:
-            raise ValueError("drift_scale must be non-negative")
+        require_real("sigma_program", self.sigma_program, minimum=0.0)
+        require_real("sigma_read", self.sigma_read, minimum=0.0)
+        require_real("drift_scale", self.drift_scale, minimum=0.0)
 
     # ------------------------------------------------------------------
     # Level grid

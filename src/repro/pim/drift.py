@@ -23,11 +23,26 @@ processes so the claim can be exercised end to end:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.variability.sampler import ChipVariation
+
+
+def require_real(name: str, value, minimum: float | None = None, strict: bool = False) -> None:
+    """Reject a config real that is not finite or lies below ``minimum``
+    (at or below it when ``strict``).  Numpy scalars pass; bools do not —
+    ``nu=True`` is a typo, not a coefficient."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite real, got {value!r}")
+    if minimum is not None and (value <= minimum if strict else value < minimum):
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
 
 
 class DriftProcess:
@@ -57,8 +72,10 @@ class TemperatureDrift(DriftProcess):
     period: float = 24.0
 
     def __post_init__(self) -> None:
-        if self.theta <= 0.0:
-            raise ValueError("theta must be positive")
+        require_real("theta", self.theta, minimum=0.0, strict=True)
+        require_real("sigma", self.sigma, minimum=0.0)
+        require_real("amplitude", self.amplitude)
+        require_real("period", self.period, minimum=0.0, strict=True)
         self._state = 0.0
         self._last_time = 0.0
 
@@ -92,7 +109,9 @@ class AgingDrift(DriftProcess):
 
     ``nu`` is the drift coefficient (PCM-like devices show nu in the
     0.01-0.1 range); ``jitter`` adds a small zero-mean stochastic component
-    on top of the deterministic decay.
+    on top of the deterministic decay.  :meth:`expected_at` is the
+    jitter-free law — device characterization, which a lifecycle can
+    schedule by without observing the chip.
     """
 
     nu: float = 0.02
@@ -100,13 +119,18 @@ class AgingDrift(DriftProcess):
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.nu < 0.0 or self.t0 <= 0.0 or self.jitter < 0.0:
-            raise ValueError("nu/jitter must be >= 0 and t0 > 0")
+        require_real("nu", self.nu, minimum=0.0)
+        require_real("t0", self.t0, minimum=0.0, strict=True)
+        require_real("jitter", self.jitter, minimum=0.0)
 
-    def epsilon_at(self, time: float, rng: np.random.Generator) -> float:
+    def expected_at(self, time: float) -> float:
+        """The deterministic decay ``-nu * log1p(time / t0)`` at ``time``."""
         if time < 0.0:
             raise ValueError("aging time must be non-negative")
-        drift = -self.nu * math.log1p(time / self.t0)
+        return -self.nu * math.log1p(time / self.t0)
+
+    def epsilon_at(self, time: float, rng: np.random.Generator) -> float:
+        drift = self.expected_at(time)
         if self.jitter:
             drift += rng.normal(0.0, self.jitter)
         return drift

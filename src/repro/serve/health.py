@@ -44,6 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.serve.faults import require_int
+
 #: Every state a chip can be in, in degradation order.
 HEALTH_STATES = ("healthy", "degraded", "quarantined", "retired", "replaced")
 
@@ -62,7 +64,9 @@ class HealthConfig:
     quarantines retire it permanently.  ``replace_retired`` turns on the
     engine's spare-provisioning policy (retired chips are swapped for
     fresh seeds); ``probe_floor``, when set, marks a chip degraded whenever
-    a lifecycle probe reads below that absolute quality.
+    a lifecycle probe reads below that absolute quality.  The four counts
+    are ints >= 1 (numpy ints pass, bools do not); ``probe_floor`` is
+    ``None`` or a real in [0, 1].
     """
 
     quarantine_after: int = 2
@@ -73,12 +77,14 @@ class HealthConfig:
     probe_floor: float | None = None
 
     def __post_init__(self) -> None:
-        if self.quarantine_after < 1 or self.recover_after < 1:
-            raise ValueError("quarantine_after and recover_after must be >= 1")
-        if self.quarantine_ticks < 1 or self.retire_after < 1:
-            raise ValueError("quarantine_ticks and retire_after must be >= 1")
-        if self.probe_floor is not None and not 0.0 <= self.probe_floor <= 1.0:
-            raise ValueError("probe_floor must be in [0, 1]")
+        require_int("quarantine_after", self.quarantine_after, minimum=1)
+        require_int("recover_after", self.recover_after, minimum=1)
+        require_int("quarantine_ticks", self.quarantine_ticks, minimum=1)
+        require_int("retire_after", self.retire_after, minimum=1)
+        if self.probe_floor is not None and (
+            isinstance(self.probe_floor, bool) or not 0.0 <= self.probe_floor <= 1.0
+        ):
+            raise ValueError(f"probe_floor must be in [0, 1], got {self.probe_floor!r}")
 
 
 @dataclass(frozen=True)

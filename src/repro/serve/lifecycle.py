@@ -15,12 +15,15 @@ closes that loop inside the serving engine:
    stale — the engine re-installs the drifted variation in place, lazily,
    at the chip's next dispatch or probe (physical drift does not
    reprogram anything, so it never shows up as cache traffic);
-2. **quality monitor** — every ``probe_every`` virtual time units each
-   chip's mapping is probed on a held-out labelled set; the measured top-k
+2. **quality monitor** — every ``probe_every`` virtual time units a sweep
+   probes the fleet's chips on a held-out labelled set; the measured top-k
    accuracy lands on the chip handle (feeding the accuracy-weighted and
    drift-aware schedulers) and in
    :class:`~repro.serve.telemetry.ServeTelemetry`'s accuracy-over-time
-   series;
+   series.  Under aging drift the sweep defers a healthy chip whose
+   quality the aging law predicts will hold its floor through the next
+   sweep (the probe gate, :meth:`ChipLifecycle._due`); its estimate carries
+   on from its last probe;
 3. **recalibration** — a chip probing below ``accuracy_floor`` is pulled:
    its cells are rewritten back to their program-and-verify targets (the
    fabrication-time pattern is restored and the drift clock restarts with a
@@ -56,10 +59,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.pim.devices import device_by_name
-from repro.pim.drift import AgingDrift, DriftingChip, DriftProcess, TemperatureDrift
+from repro.pim.drift import (
+    AgingDrift,
+    DriftingChip,
+    DriftProcess,
+    TemperatureDrift,
+    require_real,
+)
 from repro.serve.engine import FleetChip, InferenceEngine
+from repro.serve.faults import require_int
 from repro.serve.health import SERVING_STATES
 
 DRIFT_KINDS = ("aging", "temperature")
@@ -80,7 +91,12 @@ class LifecycleConfig:
     sweep.  It programs only the chips that were not resident and, with
     ``ServeConfig.fused``, computes the first layer's quantized patch
     matrix of the subset once per resident chunk, running only the
-    remaining layers per chip.  With
+    remaining layers per chip.  Under aging drift with ``predict_quality``
+    on, a sweep defers every healthy chip whose estimate the aging law
+    predicts will still be at or above its floor at the next sweep (the
+    probe gate, :meth:`ChipLifecycle._due`); degraded and quarantined
+    chips, and every chip under temperature drift or without
+    ``predict_quality``, are probed at every sweep.  With
     ``scale_by_technology`` (default) each chip's drift process is scaled
     by its device technology's severity
     (:attr:`repro.pim.devices.DeviceModel.drift_scale`), so a mixed fleet
@@ -98,7 +114,17 @@ class LifecycleConfig:
     taken right after recalibration reads near-perfect and a
     quality-weighted scheduler keeps trusting a chip that is already
     drifting away, which is how it loses to round-robin.  The raw probed
-    values (not the extrapolation) are what telemetry records.
+    values (not the extrapolation) are what telemetry records.  The same
+    extrapolation, driven by the aging law
+    (:meth:`~repro.pim.drift.AgingDrift.expected_at`) rather than the
+    chip's ``eps_between``, is what the probe gate schedules by, so
+    ``predict_quality=False`` (or ``predict_beta=0``) probes every chip at
+    every sweep.
+
+    Every real is finite: ``dt`` and ``probe_every`` (and the drift
+    processes' ``t0`` and ``theta``) are > 0, ``nu``, ``sigma`` and
+    ``predict_beta`` are >= 0; ``probe_subset`` and ``probe_k`` are ints
+    >= 1 (numpy ints pass, bools do not).
     """
 
     drift: str = "aging"
@@ -120,25 +146,32 @@ class LifecycleConfig:
     def __post_init__(self) -> None:
         if self.drift not in DRIFT_KINDS:
             raise ValueError(f"drift must be one of {DRIFT_KINDS}, got {self.drift!r}")
-        if self.dt <= 0.0 or self.probe_every <= 0.0:
-            raise ValueError("dt and probe_every must be positive")
-        if not 0.0 < self.accuracy_floor <= 1.0:
-            raise ValueError("accuracy_floor must be in (0, 1]")
-        if self.probe_subset < 1:
-            raise ValueError("probe_subset must be >= 1")
-        if self.probe_k < 1:
-            raise ValueError("probe_k must be >= 1")
-        if self.predict_beta < 0.0:
-            raise ValueError("predict_beta must be >= 0")
-        # The drift process checks its own parameters (nu, t0, theta):
-        # fail here, not at install() or the first advance.
-        self.make_process()
+        require_real("dt", self.dt, minimum=0.0, strict=True)
+        require_real("probe_every", self.probe_every, minimum=0.0, strict=True)
+        if isinstance(self.accuracy_floor, bool) or not 0.0 < self.accuracy_floor <= 1.0:
+            raise ValueError(f"accuracy_floor must be in (0, 1], got {self.accuracy_floor!r}")
+        require_int("probe_subset", self.probe_subset, minimum=1)
+        require_int("probe_k", self.probe_k, minimum=1)
+        require_real("predict_beta", self.predict_beta, minimum=0.0)
+        # Both drift processes check their own parameters (nu, t0, theta,
+        # sigma): fail here, not at install() or the first advance.
+        AgingDrift(nu=self.nu, t0=self.t0)
+        TemperatureDrift(theta=self.theta, sigma=self.sigma)
 
     def make_process(self, scale: float = 1.0) -> DriftProcess:
         """A fresh drift process instance (one per chip per program cycle)."""
         if self.drift == "aging":
             return AgingDrift(nu=scale * self.nu, t0=self.t0)
         return TemperatureDrift(theta=self.theta, sigma=scale * self.sigma)
+
+
+class _Anchor(NamedTuple):
+    """A chip's last booked quality and the state it was booked in."""
+
+    eps: float  # variation.eps_between
+    quality: float
+    time: float  # the chip's drift-clock time (variation.time)
+    faults: object  # the sticky fault map
 
 
 @dataclass(frozen=True)
@@ -190,6 +223,15 @@ class ChipLifecycle:
     ``eps_between``, so its sweeps always probe.  The memo holds at most
     one entry per remembered probe, and a replaced chip's entries go with
     it.
+
+    **Probe gate.**  Before the memo, a sweep asks :meth:`_due` whether it
+    needs the chip at all.  A deferred chip is neither probed nor booked:
+    it records no quality sample, sends no health signal, makes no memo
+    lookup, and ``serve_probes_deferred_total`` counts it.  Unlike the
+    memo, the gate changes decisions (the chip's quality is an estimate
+    until it is due); ``tests/test_lifecycle_calibration.py`` measures how
+    often against the same lifecycle probing every chip.  :meth:`install`
+    and :meth:`recalibrate` always probe or book the chips they touch.
     """
 
     engine: InferenceEngine
@@ -201,7 +243,7 @@ class ChipLifecycle:
         self.events: list[RecalibrationEvent] = []
         self._bases: dict[int, object] = {}
         self._baseline: dict[str, float] = {}
-        self._anchor: dict[str, tuple[float, float]] = {}
+        self._anchor: dict[str, _Anchor] = {}
         #: The probe memo: chip id -> {state (see _state): probed quality}.
         self._memo: dict[str, dict[tuple, float]] = {}
         #: chip id -> the sticky fault map this lifecycle last wrote the
@@ -305,8 +347,7 @@ class ChipLifecycle:
         if not self._installed:
             raise RuntimeError("call install() before advancing the lifecycle")
         step = self.config.dt if dt is None else float(dt)
-        if step < 0.0:
-            raise ValueError("dt must be >= 0")
+        require_real("dt", step, minimum=0.0)
         self.time += step
         for chip in self.engine.fleet:
             variation = chip.variation
@@ -357,7 +398,13 @@ class ChipLifecycle:
         order the sweep probed in.
         """
         self.engine.telemetry.record_quality(chip.chip_id, self.time, quality)
-        self._anchor[chip.chip_id] = (float(chip.variation.eps_between), quality)
+        variation = chip.variation
+        self._anchor[chip.chip_id] = _Anchor(
+            float(variation.eps_between),
+            quality,
+            variation.time,
+            self.engine.sticky_faults(chip),
+        )
         # Replacements get their baseline at first probe (install() already
         # set it for fabrication-time chips; setdefault is a no-op there).
         self._baseline.setdefault(chip.chip_id, quality)
@@ -409,24 +456,66 @@ class ChipLifecycle:
             anchor = self._anchor.get(chip.chip_id)
             if anchor is None:
                 continue
-            eps_probe, probed = anchor
-            excursion = abs(float(chip.variation.eps_between) - eps_probe)
-            chip.quality = probed * math.exp(-self.config.predict_beta * excursion)
+            excursion = abs(float(chip.variation.eps_between) - anchor.eps)
+            chip.quality = anchor.quality * math.exp(-self.config.predict_beta * excursion)
 
     def floor_for(self, chip: FleetChip) -> float:
         """The absolute quality below which this chip recalibrates."""
         baseline = self._baseline.get(chip.chip_id, 1.0)
         return self.config.accuracy_floor * baseline
 
+    def _due(self, chip: FleetChip) -> bool:
+        """The probe gate: must this sweep probe (or book) the chip?
+
+        A healthy chip is deferred when the aging law predicts that its
+        quality estimate at the *next* sweep — its anchor decayed by the
+        law's excursion since the anchor, ``probed * exp(-predict_beta *
+        |law(t + probe_every) - law(t_anchor)|)`` on the chip's drift clock
+        — is still at or above its floor (``floor_for``, or the health
+        ``probe_floor`` when that is higher): this sweep is the last chance
+        to probe before then.  The law is device characterization; the gate
+        never reads the chip's ``eps_between``.  Everything else is due:
+        temperature drift (random, so unpredictable) and lifecycles without
+        ``predict_quality``, degraded and quarantined chips (the probe is
+        their diagnosis), and chips with no anchor in their current lineage
+        (a spare replacement) or whose fault map changed since it.
+        """
+        config = self.config
+        anchor = self._anchor.get(chip.chip_id)
+        if (
+            config.drift != "aging"
+            or not config.predict_quality
+            or config.predict_beta <= 0.0
+            or chip.health != "healthy"
+            or anchor is None
+            or anchor.faults != self.engine.sticky_faults(chip)
+        ):
+            return True
+        variation = chip.variation
+        law = variation.process.expected_at
+        excursion = abs(law(variation.time + config.probe_every) - law(anchor.time))
+        threshold = self.floor_for(chip)
+        probe_floor = self.engine.config.health.probe_floor
+        if probe_floor is not None:
+            threshold = max(threshold, probe_floor)
+        return anchor.quality * math.exp(-config.predict_beta * excursion) < threshold
+
     def _probe_and_recalibrate(self) -> list[RecalibrationEvent]:
         # Retired silicon is dead (or already swapped out): probing it
         # wastes forwards and recalibration cannot resurrect stuck cells.
         # Quarantined chips still get probed — the probe is the diagnosis
         # that feeds the health monitor's probation — but only serving
-        # chips are worth the recalibration rewrite.
-        chips = [
-            chip for chip in self.engine.fleet if chip.health not in ("retired", "replaced")
-        ]
+        # chips are worth the recalibration rewrite.  Chips the probe gate
+        # defers are left as they are: no sample, no health signal, no
+        # memo lookup; their anchor and estimate carry on.
+        chips = []
+        for chip in self.engine.fleet:
+            if chip.health in ("retired", "replaced"):
+                continue
+            if self._due(chip):
+                chips.append(chip)
+            else:
+                self.engine.telemetry.record_probe_deferred()
         qualities = self._sweep(chips)
         events = []
         for chip in chips:

@@ -39,10 +39,10 @@ class ServeTelemetry:
     * ``recalibrations`` / ``quality_series`` — lifecycle events: per-chip
       recalibration counts and the probed accuracy-over-(virtual)-time
       series, which is what a drift/recovery curve is plotted from;
-    * ``probes`` / ``probes_reused`` — chip quality probes run, and
-      probes the lifecycle booked from the stored quality of a state
-      already probed instead of running them (the ``probes`` section of
-      :meth:`report`);
+    * ``probes`` / ``probes_reused`` / ``probes_deferred`` — chip quality
+      probes run, probes the lifecycle booked from the stored quality of a
+      state already probed instead of running them, and sweep probes its
+      probe gate deferred (the ``probes`` section of :meth:`report`);
     * fault tolerance — fault events by kind and by chip, retry/hedge/
       dead-letter counters, recorded health transitions, spare-provisioning
       replacements, and ``goodput`` (served / (served + dead-lettered)),
@@ -133,6 +133,10 @@ class ServeTelemetry:
         self._probes_reused = self.registry.counter(
             "serve_probes_reused_total",
             "chip quality probes booked from the stored quality of the same state",
+        )
+        self._probes_deferred = self.registry.counter(
+            "serve_probes_deferred_total",
+            "sweep probes deferred because the aging law predicts the chip holds its floor",
         )
         # Tick-valued like queue_ticks: a tight low edge plus an underflow
         # bucket for the zero-headroom / zero-lateness edge.
@@ -270,6 +274,10 @@ class ServeTelemetry:
         """Account one probe booked from the lifecycle's probe memo."""
         self._probes_reused.inc()
 
+    def record_probe_deferred(self) -> None:
+        """Account one sweep probe the lifecycle's probe gate deferred."""
+        self._probes_deferred.inc()
+
     def record_health_transition(self, transition) -> None:
         """Append one :class:`~repro.serve.health.HealthTransition`."""
         self.health_transitions.append(transition)
@@ -352,6 +360,10 @@ class ServeTelemetry:
     @property
     def probes_reused(self) -> int:
         return self._probes_reused.value
+
+    @property
+    def probes_deferred(self) -> int:
+        return self._probes_deferred.value
 
     @property
     def slo_attainment(self) -> float:
@@ -499,7 +511,11 @@ class ServeTelemetry:
                 "batches": self.fused_batches,
                 "fallback_batches": self.fused_fallback_batches,
             },
-            "probes": {"run": self.probes, "reused": self.probes_reused},
+            "probes": {
+                "run": self.probes,
+                "reused": self.probes_reused,
+                "deferred": self.probes_deferred,
+            },
             "faults": {
                 "total": self.faults,
                 "by_kind": dict(self.fault_counts),

@@ -3,38 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.datasets import batch_source, synthetic_mnist
-from repro.models import build_model
-from repro.nn import init
 from repro.pim.drift import AgingDrift, DriftingChip
-from repro.quant import QConfig
 from repro.selftuning import (
     DriftCompensator,
     SelfTuningConfig,
     attach_self_tuning,
     run_drift_timeline,
 )
-from repro.training import train_qavat
-from repro.variability import VariabilitySpec, WeightProportionalVariance
 from repro.variability.sampler import VariabilitySampler
-
-
-@pytest.fixture(scope="module")
-def trained_model():
-    train, test = synthetic_mnist(train_per_class=24, test_per_class=8)
-    init.seed(5)
-    model = build_model("lenet5-mini")
-    spec = VariabilitySpec.within_only(0.2, WeightProportionalVariance())
-    train_qavat(
-        model,
-        batch_source(train, 32, seed=0),
-        QConfig.from_notation("A4W2"),
-        spec,
-        epochs=8,
-        lr=0.02,
-        float_pretrain_epochs=5,
-    )
-    return model, test, spec
 
 
 @pytest.mark.slow

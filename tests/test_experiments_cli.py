@@ -1,6 +1,7 @@
 """Tests for the result store and the experiments CLI."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,13 @@ class TestCliEndToEnd:
         assert "best end-of-trace policy" in out
         digests = [line for line in out.splitlines() if line.startswith("telemetry digest: ")]
         assert [line.rsplit(" ", 1)[1] for line in digests] == ["(round-robin)", "(drift-aware)"]
+        # The per-policy probe line CI's lifecycle parity step parses.
+        probes = re.compile(
+            r"^probes: \d+ run, \d+ reused, \d+ deferred, \d+ recalibrations \((.+)\)$"
+        )
+        assert [
+            match.group(1) for match in map(probes.match, out.splitlines()) if match
+        ] == ["round-robin", "drift-aware"]
         record = ResultStore(str(tmp_path)).load("lifetime-bench-lenet5")
         assert [entry["policy"] for entry in record["policies"]] == [
             "round-robin", "drift-aware",

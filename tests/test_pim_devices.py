@@ -65,6 +65,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             DeviceModel(drift_scale=-0.5)
 
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"drift_scale": float("nan")}, "drift_scale"),
+            ({"drift_scale": float("inf")}, "drift_scale"),
+            ({"drift_scale": True}, "drift_scale"),
+            ({"sigma_program": float("nan")}, "sigma_program"),
+            ({"sigma_read": float("inf")}, "sigma_read"),
+            ({"g_max": float("inf")}, "g_max"),
+            ({"g_min": float("nan")}, "g_min"),
+        ],
+    )
+    def test_rejects_non_finite_reals(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            DeviceModel(**params)
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"drift_scale": 0.0}, {"drift_scale": np.float64(2.5)}, {"g_max": np.int64(2)}],
+    )
+    def test_boundary_reals_accepted(self, params):
+        DeviceModel(**params)
+
 
 class TestDriftScale:
     def test_severity_ordering_across_technologies(self):

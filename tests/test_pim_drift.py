@@ -50,6 +50,34 @@ class TestTemperatureDrift:
         with pytest.raises(ValueError):
             TemperatureDrift(theta=0.0)
 
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"theta": float("nan")}, "theta"),
+            ({"theta": float("inf")}, "theta"),
+            # A negative sigma used to construct and then crash numpy at
+            # the first advance; a zero period divided by zero.
+            ({"sigma": -1.0}, "sigma"),
+            ({"sigma": float("nan")}, "sigma"),
+            ({"amplitude": float("inf")}, "amplitude"),
+            ({"amplitude": True}, "amplitude"),
+            ({"period": 0.0}, "period"),
+            ({"period": float("nan")}, "period"),
+            ({"period": -24.0}, "period"),
+        ],
+    )
+    def test_rejects_invalid_params(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            TemperatureDrift(**params)
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"sigma": 0.0}, {"amplitude": -0.3}, {"theta": np.float64(1e-6), "period": np.int64(1)}],
+    )
+    def test_boundary_params_accepted(self, params):
+        process = TemperatureDrift(**params)
+        assert np.isfinite(process.epsilon_at(1.0, np.random.default_rng(0)))
+
     def test_reset(self):
         process = TemperatureDrift(sigma=0.5)
         rng = np.random.default_rng(4)
@@ -77,6 +105,44 @@ class TestAgingDrift:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             AgingDrift().epsilon_at(-1.0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            AgingDrift().expected_at(-1.0)
+
+    def test_expected_at_is_the_jitter_free_law(self):
+        process = AgingDrift(nu=0.05, t0=2.0)
+        rng = np.random.default_rng(0)
+        for time in (0.0, 1.0, 7.5, 1e6):
+            assert process.expected_at(time) == -0.05 * np.log1p(time / 2.0)
+            assert process.epsilon_at(time, rng) == process.expected_at(time)
+
+    def test_jitter_scatters_around_expected_at(self):
+        process = AgingDrift(nu=0.05, jitter=0.1)
+        rng = np.random.default_rng(1)
+        draws = [process.epsilon_at(10.0, rng) for _ in range(2000)]
+        assert np.mean(draws) == pytest.approx(process.expected_at(10.0), abs=0.01)
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"nu": float("nan")}, "nu"),
+            ({"nu": float("inf")}, "nu"),
+            ({"nu": True}, "nu"),
+            ({"t0": float("nan")}, "t0"),
+            ({"t0": float("inf")}, "t0"),
+            ({"t0": -1.0}, "t0"),
+            ({"jitter": -0.1}, "jitter"),
+            ({"jitter": float("nan")}, "jitter"),
+        ],
+    )
+    def test_rejects_invalid_params(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            AgingDrift(**params)
+
+    @pytest.mark.parametrize(
+        "params", [{"nu": 0.0}, {"jitter": 0.0}, {"nu": np.float32(0.1), "t0": np.int64(3)}]
+    )
+    def test_boundary_params_accepted(self, params):
+        assert AgingDrift(**params).expected_at(5.0) <= 0.0
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Tests for the per-chip health state machine and health-aware routing."""
 
+import numpy as np
 import pytest
 
 from repro.datasets.loaders import batch_iterator
@@ -65,6 +66,39 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             HealthConfig(probe_floor=1.5)
         HealthConfig(probe_floor=0.5)  # valid
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ({"quarantine_after": 1.5}, "quarantine_after"),
+            ({"quarantine_after": True}, "quarantine_after"),
+            ({"recover_after": 4.0}, "recover_after"),
+            ({"recover_after": False}, "recover_after"),
+            ({"quarantine_ticks": float("nan")}, "quarantine_ticks"),
+            ({"quarantine_ticks": float("inf")}, "quarantine_ticks"),
+            ({"retire_after": True}, "retire_after"),
+            ({"retire_after": -1}, "retire_after"),
+            ({"probe_floor": float("nan")}, "probe_floor"),
+            ({"probe_floor": float("inf")}, "probe_floor"),
+            ({"probe_floor": True}, "probe_floor"),
+        ],
+    )
+    def test_invalid_config_rejected(self, params, match):
+        with pytest.raises(ValueError, match=match):
+            HealthConfig(**params)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"quarantine_after": np.int64(1), "recover_after": np.int32(1)},
+            {"quarantine_ticks": 1, "retire_after": 1},
+            {"probe_floor": 0.0},
+            {"probe_floor": 1.0},
+            {"probe_floor": np.float64(0.25)},
+        ],
+    )
+    def test_boundary_config_accepted(self, params):
+        HealthConfig(**params)
 
 
 class TestStateMachine:

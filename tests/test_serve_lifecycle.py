@@ -1,5 +1,7 @@
 """Tests for drift-aged fleet serving: lifecycle, recalibration, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.selftuning.tuner import SelfTuningConfig
 from repro.serve import (
     ChipLifecycle,
     FleetSpec,
+    HealthConfig,
     InferenceEngine,
     LifecycleConfig,
     ServeConfig,
@@ -276,35 +279,39 @@ def _remeasure(engine):
     return chip
 
 
+def _run_trace(served_model, warm=False, lifecycle_overrides=None, **config):
+    """Serve 40 requests on a drift-aware ``rram:2,flash:1`` fleet under a
+    lifecycle (fast drift and a tight floor unless overridden)."""
+    model, dataset = served_model
+    engine = _engine(
+        model, fleet_spec=FleetSpec.parse("rram:2,flash:1"),
+        policy="drift-aware", seed=3, **config,
+    )
+    if warm:
+        engine.warm_up()
+    lifecycle = _lifecycle(
+        engine, dataset,
+        **{"nu": 0.8, "probe_every": 3.0, "accuracy_floor": 0.999, "seed": 3,
+           **(lifecycle_overrides or {})},
+    )
+    ids = [f"r{i:04d}" for i in range(40)]
+    outputs = engine.run_trace(
+        dataset.images[:40], UniformTrace(rate=2.0), ids=ids, lifecycle=lifecycle
+    )
+    return engine, lifecycle, [outputs[rid] for rid in ids]
+
+
 class TestFreshStateQuality:
     """The probe memo: booked qualities are exactly what probes measure."""
-
-    def _run(self, served_model, warm=False, lifecycle_overrides=None, **config):
-        model, dataset = served_model
-        engine = _engine(
-            model, fleet_spec=FleetSpec.parse("rram:2,flash:1"),
-            policy="drift-aware", seed=3, **config,
-        )
-        if warm:
-            engine.warm_up()
-        lifecycle = _lifecycle(
-            engine, dataset, nu=0.8, probe_every=3.0, accuracy_floor=0.999, seed=3,
-            **(lifecycle_overrides or {}),
-        )
-        ids = [f"r{i:04d}" for i in range(40)]
-        outputs = engine.run_trace(
-            dataset.images[:40], UniformTrace(rate=2.0), ids=ids, lifecycle=lifecycle
-        )
-        return engine, lifecycle, [outputs[rid] for rid in ids]
 
     def _against_reference(self, served_model, monkeypatch, **run):
         """Run with the memo, then without it: everything but the probe
         counts must match.  Returns the memo run's engine and lifecycle."""
         calls = _count_probes(monkeypatch)
-        engine, lifecycle, outputs = self._run(served_model, **run)
+        engine, lifecycle, outputs = _run_trace(served_model, **run)
         booked_calls = len(calls)
         _memo_off(monkeypatch)
-        ref_engine, ref_lifecycle, ref_outputs = self._run(served_model, **run)
+        ref_engine, ref_lifecycle, ref_outputs = _run_trace(served_model, **run)
         probed_calls = len(calls) - booked_calls
 
         assert lifecycle.events, "the fleet must recalibrate for this test to bite"
@@ -320,7 +327,12 @@ class TestFreshStateQuality:
         reused = engine.telemetry.probes_reused
         assert probed_calls - booked_calls == reused
         assert ref_engine.telemetry.probes_reused == 0
-        assert engine.telemetry.report()["probes"] == {"run": booked_calls, "reused": reused}
+        # Both runs are gated, and the gate reads only booked values.
+        assert engine.telemetry.report()["probes"] == {
+            "run": booked_calls,
+            "reused": reused,
+            "deferred": ref_engine.telemetry.probes_deferred,
+        }
         return engine, lifecycle
 
     @pytest.mark.parametrize("fleet", sorted(MEMO_FLEETS))
@@ -399,7 +411,7 @@ class TestFreshStateQuality:
 
     def test_noisy_adc_never_books(self, served_model):
         backend = CircuitBackend(adc=ADC(ideal=True, noise_rms=0.5))
-        engine, lifecycle, _ = self._run(served_model, backend=backend)
+        engine, lifecycle, _ = _run_trace(served_model, backend=backend)
         assert lifecycle.events
         assert engine.telemetry.probes_reused == 0
 
@@ -430,6 +442,159 @@ class TestFreshStateQuality:
         assert second.quality_after == first.quality_after
         # What was booked is what the rewritten chip measures.
         assert engine.probe_chip(chip, dataset.subset(40)) == second.quality_after
+
+
+def _oracle(monkeypatch) -> None:
+    """The probe-every-chip lifecycle: the gate defers nothing."""
+    monkeypatch.setattr(ChipLifecycle, "_due", lambda self, chip: True)
+
+
+def _sample_times(engine, chip) -> list:
+    return [time for time, _ in engine.telemetry.quality_timeline(chip.chip_id)]
+
+
+def _gated_sweeps(series, law, threshold, probe_every, end, beta=6.0) -> list:
+    """The times a never-recalibrated healthy chip must be sampled at,
+    replayed from its own quality series: install, then every sweep at
+    which the anchor decayed by the law to the *next* sweep is below
+    ``threshold``; a probe moves the anchor to the value it recorded."""
+    recorded = dict(series)
+    anchor_time, anchor_quality = series[0]
+    expected = [anchor_time]
+    for sweep in np.arange(probe_every, end + probe_every / 2, probe_every):
+        excursion = abs(law(sweep + probe_every) - law(anchor_time))
+        if anchor_quality * math.exp(-beta * excursion) < threshold:
+            expected.append(float(sweep))
+            anchor_time, anchor_quality = sweep, recorded.get(sweep, math.nan)
+    return expected
+
+
+#: Slow aging: the gate defers a chip for several sweeps at a time.
+SLOW = {"nu": 0.005, "probe_every": 4.0, "recalibrate": False}
+
+#: Drift and floor at which ``_run_trace``'s fleet both recalibrates and
+#: has chips the gate defers under aging.
+DEFERRING = {"nu": 0.1, "accuracy_floor": 0.7}
+
+
+class TestProbeGate:
+    """Sweeps defer healthy chips the aging law says hold their floor."""
+
+    def test_healthy_chip_deferred_until_sweep_before_crossing(self, served_model):
+        model, dataset = served_model
+        engine = _engine(model, num_chips=1)
+        lifecycle = _lifecycle(engine, dataset, **SLOW)
+        for _ in range(64):
+            lifecycle.advance(1.0)
+        chip = engine.fleet[0]
+        series = engine.telemetry.quality_timeline(chip.chip_id)
+        law = chip.variation.process.expected_at
+        floor = lifecycle.floor_for(chip)
+        assert series[0][1] > 0.0, "a zero baseline has a zero floor and never probes"
+        expected = _gated_sweeps(series, law, floor, probe_every=4.0, end=64.0)
+        assert _sample_times(engine, chip) == expected
+        # The first probe comes one sweep before the predicted crossing:
+        # still above the floor now, below it at the next sweep.
+        first = expected[1]
+        baseline = series[0][1]
+        assert baseline * math.exp(-6.0 * abs(law(first) - law(0.0))) >= floor
+        assert baseline * math.exp(-6.0 * abs(law(first + 4.0) - law(0.0))) < floor
+        deferred = 64 // 4 - (len(expected) - 1)  # sweeps not sampled
+        assert deferred > 0
+        assert engine.telemetry.probes_deferred == deferred
+
+    @pytest.mark.parametrize(
+        "failures, state", [(1, "degraded"), (2, "quarantined")]
+    )
+    def test_unhealthy_chip_probed_every_sweep(self, served_model, failures, state):
+        model, dataset = served_model
+        engine = _engine(model)
+        lifecycle = _lifecycle(engine, dataset, **SLOW)
+        sick, well = engine.fleet
+        for _ in range(failures):
+            engine.health.on_failure(sick, engine.now)
+        assert sick.health == state
+        for _ in range(32):
+            lifecycle.advance(1.0)
+        sweeps = [float(time) for time in range(0, 33, 4)]
+        assert _sample_times(engine, sick) == sweeps
+        assert len(_sample_times(engine, well)) < len(sweeps)
+
+    def test_fault_map_pinned_after_anchor_probes_next_sweep(self, served_model):
+        model, dataset = served_model
+        engine = _engine(model)
+        lifecycle = _lifecycle(engine, dataset, **SLOW)
+        lifecycle.advance(4.0)
+        assert engine.telemetry.probes_deferred == 2
+        pinned = _pin_faults(engine)
+        other = engine.fleet[1]
+        assert pinned.health == "healthy"  # only the fault map changed
+        lifecycle.advance(4.0)
+        assert _sample_times(engine, pinned) == [0.0, 8.0]
+        assert _sample_times(engine, other) == [0.0]
+
+    def test_spare_replacement_probed_at_first_sweep(self, served_model):
+        model, dataset = served_model
+        engine = _engine(model)
+        lifecycle = _lifecycle(engine, dataset, **SLOW)
+        lifecycle.advance(4.0)
+        spare = engine.replace_chip(engine.fleet[0])
+        lifecycle.advance(4.0)
+        assert _sample_times(engine, spare) == [8.0]
+        assert _sample_times(engine, engine.fleet[1]) == [0.0]
+        # Its first probe is its anchor: from then on it is gated too.
+        lifecycle.advance(4.0)
+        assert _sample_times(engine, spare) == [8.0]
+
+    def test_probe_floor_above_recalibration_floor_probes_earlier(self, served_model):
+        model, dataset = served_model
+
+        def first_probe(probe_floor):
+            engine = _engine(model, num_chips=1, health=HealthConfig(probe_floor=probe_floor))
+            lifecycle = _lifecycle(
+                engine, dataset, nu=0.05, probe_every=4.0, accuracy_floor=0.5,
+                recalibrate=False,
+            )
+            for _ in range(16):
+                lifecycle.advance(1.0)
+            chip = engine.fleet[0]
+            series = engine.telemetry.quality_timeline(chip.chip_id)
+            threshold = max(lifecycle.floor_for(chip), probe_floor or 0.0)
+            expected = _gated_sweeps(
+                series, chip.variation.process.expected_at, threshold, 4.0, end=16.0
+            )
+            assert _sample_times(engine, chip)[:2] == expected[:2]
+            return expected[1], lifecycle.baseline[chip.chip_id]
+
+        relaxed, baseline = first_probe(None)
+        tight, _ = first_probe(0.9 * baseline)
+        assert tight < relaxed
+
+    def test_aging_with_prediction_defers(self, served_model):
+        """The fleet the oracle comparisons below use does defer under
+        aging, so their equality is the gate standing down."""
+        engine, lifecycle, _ = _run_trace(served_model, lifecycle_overrides=DEFERRING)
+        assert engine.telemetry.probes_deferred > 0
+        assert lifecycle.events
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"drift": "temperature", "sigma": 0.5}, {"predict_quality": False}],
+        ids=["temperature", "no-prediction"],
+    )
+    def test_undeferrable_lifecycle_equals_oracle(self, served_model, monkeypatch, overrides):
+        run = {**DEFERRING, **overrides}
+        engine, lifecycle, outputs = _run_trace(served_model, lifecycle_overrides=run)
+        _oracle(monkeypatch)
+        ref_engine, ref_lifecycle, ref_outputs = _run_trace(
+            served_model, lifecycle_overrides=run
+        )
+        assert lifecycle.events, "the fleet must recalibrate for this test to bite"
+        assert engine.telemetry.probes_deferred == 0
+        assert engine.telemetry.digest() == ref_engine.telemetry.digest()
+        assert engine.telemetry.quality_series == ref_engine.telemetry.quality_series
+        assert lifecycle.events == ref_lifecycle.events
+        assert all(np.array_equal(a, b) for a, b in zip(outputs, ref_outputs))
 
 
 class TestDeterminism:
@@ -491,6 +656,24 @@ class TestConfigValidation:
             ({"nu": -0.1}, "nu"),
             ({"t0": 0.0}, "t0"),
             ({"drift": "temperature", "theta": 0.0}, "theta"),
+            # A NaN cadence would never sweep (time >= nan is false), and a
+            # NaN beta would make every estimate NaN and every chip deferred.
+            ({"probe_every": float("nan")}, "probe_every"),
+            ({"probe_every": float("inf")}, "probe_every"),
+            ({"dt": float("nan")}, "dt"),
+            ({"dt": float("-inf")}, "dt"),
+            ({"predict_beta": float("nan")}, "predict_beta"),
+            ({"predict_beta": float("inf")}, "predict_beta"),
+            ({"nu": float("nan")}, "nu"),
+            ({"t0": float("inf")}, "t0"),
+            ({"theta": float("nan")}, "theta"),
+            ({"sigma": -1.0}, "sigma"),
+            ({"accuracy_floor": float("nan")}, "accuracy_floor"),
+            ({"accuracy_floor": True}, "accuracy_floor"),
+            ({"probe_every": True}, "probe_every"),
+            ({"probe_subset": 2.5}, "probe_subset"),
+            ({"probe_subset": True}, "probe_subset"),
+            ({"probe_k": True}, "probe_k"),
         ],
     )
     def test_invalid_config_rejected_at_construction(self, overrides, match):
@@ -501,7 +684,23 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"probe_k": 1}, {"predict_beta": 0.0}, {"nu": 0.0}, {"drift": "temperature"}],
+        [
+            {"probe_k": 1},
+            {"predict_beta": 0.0},
+            {"nu": 0.0},
+            {"drift": "temperature"},
+            {"probe_subset": np.int64(8), "probe_k": np.int32(2)},
+            {"probe_every": np.float64(0.5), "dt": 1e-9},
+            {"sigma": 0.0, "accuracy_floor": 1.0},
+        ],
     )
     def test_boundary_config_accepted(self, overrides):
         LifecycleConfig(**overrides)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -1.0])
+    def test_bad_advance_step_rejected(self, served_model, dt):
+        model, dataset = served_model
+        lifecycle = _lifecycle(_engine(model), dataset)
+        with pytest.raises(ValueError, match="dt"):
+            lifecycle.advance(dt)
+        assert lifecycle.time == 0.0

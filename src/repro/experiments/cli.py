@@ -72,6 +72,13 @@ def _nonnegative_int(value: str) -> int:
     return number
 
 
+def _fraction(value: str) -> float:
+    number = float(value)
+    if not 0.0 <= number <= 1.0:  # also rejects nan, which compares false
+        raise argparse.ArgumentTypeError(f"must be a fraction in [0, 1], got {value}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
@@ -232,13 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--dt", type=float, default=1.0, help="virtual drift time per tick"
         )
         sub.add_argument("--results-dir", default="results")
-        sub.add_argument(
-            "--bench-json",
-            default=None,
-            metavar="PATH",
-            help="append this run to a schema-versioned perf-trajectory file "
-            "(e.g. BENCH_serving.json); see repro.obs.BenchRecorder",
-        )
 
     serve = commands.add_parser(
         "serve-bench",
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="ticks over which scheduled fault events land (--chaos)",
     )
     serve.add_argument(
-        "--goodput-floor", type=float, default=0.95,
+        "--goodput-floor", type=_fraction, default=0.95,
         help="exit non-zero when served/(served+dead-lettered) falls below "
         "this fraction (--chaos)",
     )
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request deadline budget in ticks from arrival (--slo)",
     )
     serve.add_argument(
-        "--slo-ceiling", type=float, default=0.15,
+        "--slo-ceiling", type=_fraction, default=0.15,
         help="exit non-zero when the best policy's SLO-violation fraction "
         "exceeds this ceiling (--slo)",
     )
@@ -707,53 +707,6 @@ def _print_span_breakdown(engine, title: str = "per-stage span breakdown") -> No
     ))
 
 
-def _bench_metrics(engine, seconds: float) -> dict:
-    """The BENCH-file metric block for one serving run."""
-    report = engine.telemetry.report()
-    latency = report["latency"]
-    return {
-        "throughput_sps": report["requests"] / seconds if seconds > 0 else 0.0,
-        "latency_p50_ms": 1e3 * latency["p50"],
-        "latency_p95_ms": 1e3 * latency["p95"],
-        "latency_p99_ms": 1e3 * latency["p99"],
-        "occupancy": report["occupancy_mean"],
-        "cache_hit_rate": report.get("cache", {}).get("hit_rate", 0.0),
-        "energy_uj_per_request": report["energy_uj"]["per_request"],
-    }
-
-
-def _bench_scale(args, engine) -> dict:
-    """The BENCH-file scale block: what workload the metrics measured."""
-    return {
-        "model": args.model,
-        "notation": args.notation,
-        "backend": args.backend,
-        "num_chips": len(engine.fleet),
-        "fleet": args.fleet,
-        "max_batch": args.max_batch,
-        "max_wait": args.max_wait,
-        "requests": args.requests,
-        "trace": args.trace,
-        "seed": args.seed,
-        "fused": bool(getattr(args, "fused", True)),
-        "max_resident_chips": getattr(args, "max_resident_chips", None),
-        **engine.policy.describe(),
-    }
-
-
-def _record_bench(args, bench: str, metrics: dict, scale: dict) -> None:
-    if not args.bench_json:
-        return
-    from repro.obs import BenchRecorder
-
-    recorder = BenchRecorder(args.bench_json, bench=bench)
-    run = recorder.record(metrics, scale=scale)
-    print(
-        f"bench trajectory: {args.bench_json} "
-        f"({len(recorder.runs())} runs, sha {run['git_sha'][:12]})"
-    )
-
-
 def _cmd_serve_bench_drift(args) -> int:
     model, test, eval_spec = _serve_model(args)
     policies = list(dict.fromkeys([args.policy, "drift-aware", "round-robin"]))
@@ -791,18 +744,11 @@ def _cmd_serve_bench_drift(args) -> int:
             f"{100 * run['end_accuracy']:.1f}% vs "
             f"{100 * baseline['end_accuracy']:.1f}% ({100 * lead:+.1f} pts)"
         )
+    for run in runs:
+        print(f"telemetry digest: {run['engine'].telemetry.digest()} ({run['policy']})")
     store = ResultStore(args.results_dir)
     path = store.save(f"serve-bench-drift-{args.model}", _drift_record(args, runs))
     print(f"\nsaved: {path}")
-    primary = runs[0]
-    _record_bench(
-        args, "serving",
-        {
-            **_bench_metrics(primary["engine"], primary["seconds"]),
-            "end_accuracy": primary["end_accuracy"],
-        },
-        _bench_scale(args, primary["engine"]),
-    )
     return 0
 
 
@@ -848,16 +794,6 @@ def _cmd_lifetime_bench(args) -> int:
     store = ResultStore(args.results_dir)
     path = store.save(f"lifetime-bench-{args.model}", _drift_record(args, runs))
     print(f"saved: {path}")
-    _record_bench(
-        args, "lifetime",
-        {
-            **_bench_metrics(best["engine"], best["seconds"]),
-            "accuracy": best["accuracy"],
-            "end_accuracy": best["end_accuracy"],
-            "recalibrations": best["recalibrations"],
-        },
-        _bench_scale(args, best["engine"]),
-    )
     return 0
 
 
@@ -931,7 +867,8 @@ def _cmd_serve_bench_chaos(args) -> int:
     engine, injector, ids = first["engine"], first["injector"], first["ids"]
     telemetry = engine.telemetry
     reproducible = (
-        injector.schedule == second["injector"].schedule
+        telemetry.digest() == second["engine"].telemetry.digest()
+        and injector.schedule == second["injector"].schedule
         and telemetry.retries == second["engine"].telemetry.retries
         and telemetry.hedges == second["engine"].telemetry.hedges
         and set(engine.dead_letters) == set(second["engine"].dead_letters)
@@ -986,6 +923,7 @@ def _cmd_serve_bench_chaos(args) -> int:
             )
     print("\nchaos engine telemetry:")
     print(telemetry.format())
+    print(f"telemetry digest: {telemetry.digest()}")
     store = ResultStore(args.results_dir)
     path = store.save(
         f"serve-bench-chaos-{args.model}",
@@ -1019,26 +957,6 @@ def _cmd_serve_bench_chaos(args) -> int:
         },
     )
     print(f"\nsaved: {path}")
-    _record_bench(
-        args, "chaos",
-        {
-            **_bench_metrics(engine, first["seconds"]),
-            "goodput": goodput,
-            "dead_letters": len(engine.dead_letters),
-            "retries": telemetry.retries,
-            "hedges": telemetry.hedges,
-            "faults": telemetry.faults,
-            "replacements": len(engine.retired),
-            "served_accuracy": first["accuracy"],
-        },
-        {
-            **_bench_scale(args, engine),
-            "fault_seed": args.fault_seed,
-            "deaths": args.deaths,
-            "stuck_chips": args.stuck_chips,
-            "transient_rate": args.transient_rate,
-        },
-    )
     if not reproducible:
         print("ERROR: chaos run is not bit-reproducible across reruns")
         return 1
@@ -1143,7 +1061,8 @@ def _cmd_serve_bench_slo(args) -> int:
     rerun = _slo_serving_run(model, test, eval_spec, args, trace, best["policy"])
     best_t, rerun_t = best["engine"].telemetry, rerun["engine"].telemetry
     reproducible = (
-        best["served"] == rerun["served"]
+        best_t.digest() == rerun_t.digest()
+        and best["served"] == rerun["served"]
         and best_t.slo_met == rerun_t.slo_met
         and best_t.slo_violations == rerun_t.slo_violations
         and best_t.slo_series == rerun_t.slo_series
@@ -1186,6 +1105,8 @@ def _cmd_serve_bench_slo(args) -> int:
     )
     print("\nbest-policy telemetry:")
     print(best_t.format())
+    for run in runs:
+        print(f"telemetry digest: {run['engine'].telemetry.digest()} ({run['policy']})")
     store = ResultStore(args.results_dir)
     path = store.save(
         f"serve-bench-slo-{args.model}",
@@ -1220,28 +1141,6 @@ def _cmd_serve_bench_slo(args) -> int:
         },
     )
     print(f"\nsaved: {path}")
-    # Recorded under the "serving" bench so --slo runs append to the same
-    # BENCH_serving.json trajectory as the other serving benches instead
-    # of resetting it (the recorder drops runs on a bench-name mismatch);
-    # scale.slo_ticks/best_policy mark the entries as SLO runs.
-    _record_bench(
-        args, "serving",
-        {
-            **_bench_metrics(best["engine"], best["seconds"]),
-            "slo_attainment": best["attainment"],
-            "slo_violations": best_t.slo_violations,
-            "slo_met": best_t.slo_met,
-            "rejections": best_t.rejections,
-            "dead_letters": len(best["engine"].dead_letters),
-            "served_accuracy": best["accuracy"],
-        },
-        {
-            **_bench_scale(args, best["engine"]),
-            "slo_ticks": args.slo_ticks,
-            "transient_rate": args.transient_rate,
-            "best_policy": best["policy"],
-        },
-    )
     if not reproducible:
         print("ERROR: slo run is not bit-reproducible across reruns")
         return 1
@@ -1358,11 +1257,6 @@ def _cmd_serve_bench(args) -> int:
         },
     )
     print(f"\nsaved: {path}")
-    _record_bench(
-        args, "serving",
-        {**_bench_metrics(batched, batch_seconds), "speedup": float(speedup)},
-        _bench_scale(args, batched),
-    )
     return 0
 
 

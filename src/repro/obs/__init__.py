@@ -10,10 +10,8 @@ Production-shaped instrumentation in three layers, all engine-agnostic:
   context managers over an injectable clock, collected by a bounded
   :class:`SpanRecorder` (or a free :class:`NullRecorder` when tracing is
   off);
-* **exporters** (:mod:`repro.obs.export`) — Prometheus text, span JSONL,
-  and the schema-versioned :class:`BenchRecorder` behind the repo's
-  ``BENCH_*.json`` perf trajectory — gated in CI by the same-scale
-  regression comparator in :mod:`repro.obs.bench`.
+* **exporters** (:mod:`repro.obs.export`) — Prometheus text and span
+  JSONL.
 
 :class:`Observability` bundles one registry + recorder + clock; the
 serving engine owns one and threads it through every stage of a
@@ -23,7 +21,7 @@ request's life.
 from __future__ import annotations
 
 from repro.obs.clock import Clock, FakeClock, MonotonicClock
-from repro.obs.export import BENCH_SCHEMA, BenchRecorder, git_sha, to_prometheus
+from repro.obs.export import to_prometheus
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import NULL_SPAN, NullRecorder, Span, SpanRecorder
 
@@ -82,9 +80,6 @@ class Observability:
 
 
 __all__ = [
-    "BENCH_SCHEMA",
-    "BenchCheck",
-    "BenchRecorder",
     "Clock",
     "Counter",
     "FakeClock",
@@ -97,25 +92,5 @@ __all__ = [
     "Observability",
     "Span",
     "SpanRecorder",
-    "baseline_for",
-    "compare_latest",
-    "git_sha",
-    "load_runs",
     "to_prometheus",
 ]
-
-#: Names served lazily from :mod:`repro.obs.bench` — the bench gate is
-#: also a ``python -m repro.obs.bench`` entry point, and an eager import
-#: here would make runpy warn about the module already being loaded.
-_BENCH_GATE_EXPORTS = frozenset(
-    {"BenchCheck", "baseline_for", "compare_latest", "load_runs"}
-)
-
-
-def __getattr__(name: str):
-    """Lazy re-exports of the :mod:`repro.obs.bench` gate API."""
-    if name in _BENCH_GATE_EXPORTS:
-        from repro.obs import bench
-
-        return getattr(bench, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

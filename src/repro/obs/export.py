@@ -1,28 +1,15 @@
-"""Exporters: Prometheus text dump, span JSONL, and ``BENCH_*.json``.
+"""Exporters: Prometheus text dump and span JSONL.
 
-Three ways the in-memory observability state leaves the process:
+Two ways the in-memory observability state leaves the process:
 
 * :func:`to_prometheus` — the standard text exposition format, so a
   scrape endpoint (or a human) can read every registered metric;
-* :meth:`repro.obs.trace.SpanRecorder.export_jsonl` — the span timeline
-  (re-exported here for discoverability);
-* :class:`BenchRecorder` — schema-versioned ``BENCH_*.json`` files that
-  accumulate a *perf trajectory*: every benchmark run appends one entry
-  (metrics + git SHA + workload scale), so a future "made the hot path
-  faster" PR is measured against recorded history instead of a claim.
+* :meth:`repro.obs.trace.SpanRecorder.export_jsonl` — the span timeline.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import time
-
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-
-#: Version tag every BENCH file carries; bump on breaking layout changes.
-BENCH_SCHEMA = "repro.bench/v1"
 
 
 def _format_value(value: float) -> str:
@@ -50,94 +37,3 @@ def to_prometheus(registry: MetricsRegistry) -> str:
             lines.append(f"{name}_sum {_format_value(metric.total)}")
             lines.append(f"{name}_count {metric.count}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def git_sha(root: str | None = None) -> str:
-    """The current commit SHA, or ``"unknown"`` outside a git checkout."""
-    try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "HEAD"],
-                cwd=root or os.getcwd(),
-                capture_output=True,
-                text=True,
-                timeout=5,
-                check=True,
-            ).stdout.strip()
-            or "unknown"
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-
-
-class BenchRecorder:
-    """Appends schema-versioned benchmark runs to a ``BENCH_*.json`` file.
-
-    The file holds one JSON object::
-
-        {"schema": "repro.bench/v1", "bench": "serving",
-         "runs": [{"recorded_unix": ..., "git_sha": ..., "scale": {...},
-                   "metrics": {...}}, ...]}
-
-    Existing runs with a matching schema are preserved (bounded to the most
-    recent ``max_runs``), which is what turns isolated benchmark numbers
-    into a trajectory: consecutive commits append comparable entries.
-    A file with a foreign schema or unparsable content is replaced, never
-    merged.
-    """
-
-    def __init__(self, path, bench: str, max_runs: int = 100) -> None:
-        if max_runs < 1:
-            raise ValueError(f"max_runs must be >= 1, got {max_runs}")
-        self.path = os.fspath(path)
-        self.bench = str(bench)
-        self.max_runs = int(max_runs)
-
-    def _existing_runs(self) -> list[dict]:
-        try:
-            with open(self.path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return []
-        if (
-            isinstance(payload, dict)
-            and payload.get("schema") == BENCH_SCHEMA
-            and payload.get("bench") == self.bench
-            and isinstance(payload.get("runs"), list)
-        ):
-            return payload["runs"]
-        return []
-
-    def record(self, metrics: dict, scale: dict | None = None) -> dict:
-        """Append one run (metrics + workload scale) and rewrite the file.
-
-        Returns the run entry written.  ``metrics`` must already be
-        JSON-serializable — the recorder round-trips it through ``json``
-        to fail fast on numpy scalars and friends.
-        """
-        run = {
-            "recorded_unix": time.time(),
-            "git_sha": git_sha(),
-            "scale": dict(scale or {}),
-            "metrics": json.loads(json.dumps(metrics)),
-        }
-        runs = (self._existing_runs() + [run])[-self.max_runs :]
-        payload = {"schema": BENCH_SCHEMA, "bench": self.bench, "runs": runs}
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return run
-
-    def runs(self) -> list[dict]:
-        """Every recorded run, oldest first."""
-        return list(self._existing_runs())
-
-    def latest(self) -> dict | None:
-        runs = self._existing_runs()
-        return runs[-1] if runs else None
-
-    def __repr__(self) -> str:
-        return f"BenchRecorder({self.path!r}, bench={self.bench!r})"

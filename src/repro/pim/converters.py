@@ -10,29 +10,28 @@ the circuit-level path agree.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.pim.drift import require_real
+
 
 def _require_bits(bits: int) -> None:
+    if isinstance(bits, bool) or not isinstance(bits, numbers.Integral):
+        raise ValueError(f"bits must be an int, got {bits!r}")
     if bits < 2:
         raise ValueError(f"a symmetric converter needs at least 2 bits, got {bits}")
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
 class DAC:
     """Digital-to-analog converter: integer codes -> voltages.
 
-    ``bits`` bounds the representable code range (symmetric, so at least
-    2 bits); ``v_step`` is the voltage per LSB (finite and positive, so
-    code 0 drives +0.0 V).  Codes outside the range saturate, mirroring a
+    ``bits`` bounds the representable code range (an int, symmetric, so at
+    least 2 bits); ``v_step`` is the voltage per LSB (finite and positive,
+    so code 0 drives +0.0 V).  Codes outside the range saturate, mirroring a
     driver hitting its rails.
     """
 
@@ -41,7 +40,7 @@ class DAC:
 
     def __post_init__(self) -> None:
         _require_bits(self.bits)
-        _require_positive("v_step", self.v_step)
+        require_real("v_step", self.v_step, minimum=0.0, strict=True)
 
     @property
     def code_max(self) -> int:
@@ -57,7 +56,7 @@ class ADC:
     """Analog-to-digital converter: currents -> integer codes.
 
     The full-scale range ``full_scale`` (finite and positive) maps onto
-    ``±(2^(bits-1) - 1)`` codes, so ``bits`` is at least 2.  ``ideal=True``
+    ``±(2^(bits-1) - 1)`` codes, so ``bits`` is an int of at least 2.  ``ideal=True``
     bypasses quantization entirely (infinite resolution), which is useful
     for isolating variability effects from ADC effects in experiments.
     """
@@ -67,7 +66,8 @@ class ADC:
     ideal: bool = False
     # Static converter errors (fractions of full scale / of the reading):
     # ``offset_error`` shifts the transfer curve, ``gain_error`` scales it,
-    # ``noise_rms`` adds input-referred thermal noise per conversion.
+    # ``noise_rms`` (>= 0) adds input-referred thermal noise per conversion;
+    # all three are finite.
     offset_error: float = 0.0
     gain_error: float = 0.0
     noise_rms: float = 0.0
@@ -93,9 +93,10 @@ class ADC:
 
     def __post_init__(self) -> None:
         _require_bits(self.bits)
-        _require_positive("full_scale", self.full_scale)
-        if not self.noise_rms >= 0.0:
-            raise ValueError(f"noise_rms must be >= 0, got {self.noise_rms}")
+        require_real("full_scale", self.full_scale, minimum=0.0, strict=True)
+        require_real("noise_rms", self.noise_rms, minimum=0.0)
+        require_real("offset_error", self.offset_error)
+        require_real("gain_error", self.gain_error)
         # A mutable RNG on a frozen dataclass: conversions draw fresh noise
         # while the converter's configuration stays hashable/immutable.
         object.__setattr__(self, "_rng", np.random.default_rng(self.noise_seed))

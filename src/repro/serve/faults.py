@@ -37,12 +37,12 @@ the fault map.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.pim.drift import require_real
 from repro.variability.faults import FaultSpec
 
 
@@ -101,14 +101,7 @@ class RetryPolicy:
         require_int("max_backoff", self.max_backoff, minimum=1)
         if self.timeout_ticks is not None:
             require_int("timeout_ticks", self.timeout_ticks, minimum=1)
-        factor = self.backoff_factor
-        if (
-            isinstance(factor, bool)
-            or not isinstance(factor, numbers.Real)
-            or not math.isfinite(factor)
-            or factor < 1.0
-        ):
-            raise ValueError(f"backoff_factor must be finite and >= 1, got {factor!r}")
+        require_real("backoff_factor", self.backoff_factor, minimum=1.0)
 
     def backoff_for(self, cycle: int) -> int:
         """Park duration (ticks) after the ``cycle``-th failed dispatch."""

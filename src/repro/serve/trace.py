@@ -31,6 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.pim.drift import require_real
+from repro.serve.faults import require_int
+
 
 class ArrivalTrace:
     """Assigns arrival ticks (and optionally deadlines) to a request stream."""
@@ -60,8 +63,7 @@ class UniformTrace(ArrivalTrace):
     rate: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        require_real("rate", self.rate, minimum=0.0, strict=True)
 
     name = "uniform"
 
@@ -77,8 +79,7 @@ class PoissonTrace(ArrivalTrace):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        require_real("rate", self.rate, minimum=0.0, strict=True)
 
     name = "poisson"
 
@@ -107,10 +108,12 @@ class BurstyTrace(ArrivalTrace):
     name = "bursty"
 
     def __post_init__(self) -> None:
-        if self.rate < 0.0 or self.burst_rate <= 0.0:
-            raise ValueError("rates must be positive (quiet rate may be 0)")
-        if self.period < 1 or not 0.0 < self.duty <= 1.0:
-            raise ValueError("period must be >= 1 and duty in (0, 1]")
+        require_real("rate", self.rate, minimum=0.0)
+        require_real("burst_rate", self.burst_rate, minimum=0.0, strict=True)
+        require_int("period", self.period, minimum=1)
+        require_real("duty", self.duty, minimum=0.0, strict=True)
+        if self.duty > 1.0:
+            raise ValueError(f"duty must be <= 1, got {self.duty!r}")
 
     def _rate_at(self, tick: int) -> float:
         return self.burst_rate if (tick % self.period) < self.duty * self.period else self.rate

@@ -10,6 +10,11 @@ from repro.experiments.cli import build_parser, main
 from repro.experiments.store import ResultStore
 
 
+def _digests(out: str) -> list[str]:
+    """The ``telemetry digest:`` lines a bench command printed, in order."""
+    return [line for line in out.splitlines() if line.startswith("telemetry digest: ")]
+
+
 class TestResultStore:
     def test_save_and_load_round_trip(self, tmp_path):
         store = ResultStore(str(tmp_path))
@@ -105,6 +110,14 @@ class TestParser:
             ["--max-wait", "-1"],
             ["--max-resident-chips", "0"],
             ["--probe-k", "0"],
+            ["--goodput-floor", "nan"],
+            ["--goodput-floor", "inf"],
+            ["--goodput-floor", "-0.1"],
+            ["--goodput-floor", "1.5"],
+            ["--slo-ceiling", "nan"],
+            ["--slo-ceiling", "inf"],
+            ["--slo-ceiling", "-0.1"],
+            ["--slo-ceiling", "1.5"],
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve-bench", *flags])
@@ -133,39 +146,6 @@ class TestParser:
     def test_lifetime_bench_rejects_unknown_trace(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["lifetime-bench", "--trace", "tsunami"])
-
-
-class TestBenchScale:
-    def test_records_the_fleet_the_engine_built(self):
-        """A ``--fleet`` run records its real fleet size, not ``--num-chips``."""
-        from repro.datasets.loaders import batch_iterator
-        from repro.datasets.synthetic import make_pattern_dataset
-        from repro.experiments.cli import _bench_scale, _fleet_spec
-        from repro.models import build_model
-        from repro.quant.calibration import calibrate_model
-        from repro.quant.ptq import convert_to_quantized
-        from repro.quant.qconfig import QConfig
-        from repro.serve import InferenceEngine, ServeConfig
-        from repro.variability.models import WeightProportionalVariance
-        from repro.variability.sampler import VariabilitySpec
-
-        dataset = make_pattern_dataset(5, 8, (1, 28, 28), seed=7)
-        model = build_model("lenet5-mini", num_classes=5, in_channels=1)
-        convert_to_quantized(model, QConfig.from_notation("A4W2"))
-        calibrate_model(model, batch_iterator(dataset, 8, shuffle=False), max_batches=1)
-        args = build_parser().parse_args(
-            ["lifetime-bench", "--fleet", "rram:2,flash:3"]
-        )
-        engine = InferenceEngine(
-            model,
-            VariabilitySpec.mixed(0.2, WeightProportionalVariance()),
-            args.num_chips,
-            ServeConfig(),
-            fleet_spec=_fleet_spec(args),
-        )
-        scale = _bench_scale(args, engine)
-        assert args.num_chips == 4
-        assert scale["num_chips"] == 5
 
 
 class TestCliEndToEnd:
@@ -217,18 +197,16 @@ class TestCliEndToEnd:
         assert record["cache"]["misses"] >= 2
 
     def test_serve_bench_drift_races_policies(self, tmp_path, capsys):
-        code = main(
-            [
-                "serve-bench",
-                "--drift",
-                "--policy", "accuracy-weighted",
-                "--skip-training",
-                "--requests", "64",
-                "--max-batch", "8",
-                "--trace-rate", "4",
-                "--results-dir", str(tmp_path),
-            ]
-        )
+        argv = [
+            "serve-bench",
+            "--drift",
+            "--policy", "accuracy-weighted",
+            "--skip-training",
+            "--requests", "64",
+            "--max-batch", "8",
+            "--trace-rate", "4",
+        ]
+        code = main([*argv, "--results-dir", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "drift-aware vs round-robin" in out
@@ -240,6 +218,62 @@ class TestCliEndToEnd:
         for entry in record["policies"]:
             assert 0.0 <= entry["end_accuracy"] <= 1.0
             assert entry["telemetry"]["quality_series"]
+        digests = _digests(out)
+        assert [line.rsplit(" ", 1)[1] for line in digests] == [
+            "(accuracy-weighted)", "(drift-aware)", "(round-robin)",
+        ]
+        # Per-chip dispatch serves, probes and recalibrates the same story.
+        code = main([*argv, "--no-fused", "--results-dir", str(tmp_path / "unfused")])
+        assert code == 0
+        assert _digests(capsys.readouterr().out) == digests
+
+    def test_serve_bench_chaos_end_to_end(self, tmp_path, capsys):
+        code = main(
+            [
+                "serve-bench",
+                "--chaos",
+                "--skip-training",
+                "--num-chips", "4",
+                "--requests", "64",
+                "--max-batch", "8",
+                "--trace", "uniform",
+                "--results-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^reproducible +yes *$", out, re.MULTILINE)
+        digests = _digests(out)
+        assert len(digests) == 1
+        assert re.fullmatch(r"telemetry digest: [0-9a-f]{64}", digests[0])
+        record = ResultStore(str(tmp_path)).load("serve-bench-chaos-lenet5")
+        assert record["reproducible"]
+        assert record["schedule"]
+
+    def test_serve_bench_slo_end_to_end(self, tmp_path, capsys):
+        code = main(
+            [
+                "serve-bench",
+                "--slo",
+                "--skip-training",
+                "--num-chips", "3",
+                "--requests", "48",
+                "--trace", "uniform",
+                "--results-dir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "reproducible: yes" in out
+        digests = _digests(out)
+        assert [line.rsplit(" ", 1)[1] for line in digests] == [
+            "(round-robin)", "(latency-aware)",
+        ]
+        record = ResultStore(str(tmp_path)).load("serve-bench-slo-lenet5")
+        assert record["reproducible"]
+        assert [entry["policy"] for entry in record["policies"]] == [
+            "round-robin", "latency-aware",
+        ]
 
     def test_lifetime_bench_end_to_end(self, tmp_path, capsys):
         code = main(
@@ -256,7 +290,7 @@ class TestCliEndToEnd:
         assert code == 0
         out = capsys.readouterr().out
         assert "best end-of-trace policy" in out
-        digests = [line for line in out.splitlines() if line.startswith("telemetry digest: ")]
+        digests = _digests(out)
         assert [line.rsplit(" ", 1)[1] for line in digests] == ["(round-robin)", "(drift-aware)"]
         # The per-policy probe line CI's lifecycle parity step parses.
         probes = re.compile(

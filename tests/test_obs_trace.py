@@ -3,12 +3,9 @@
 import io
 import json
 
-import numpy as np
 import pytest
 
 from repro.obs import (
-    BENCH_SCHEMA,
-    BenchRecorder,
     FakeClock,
     MetricsRegistry,
     MonotonicClock,
@@ -184,56 +181,3 @@ class TestPrometheusExport:
 
     def test_empty_registry_renders_empty(self):
         assert to_prometheus(MetricsRegistry()) == ""
-
-
-class TestBenchRecorder:
-    def test_writes_schema_versioned_file(self, tmp_path):
-        path = tmp_path / "BENCH_serving.json"
-        recorder = BenchRecorder(path, bench="serving")
-        run = recorder.record({"throughput_sps": 100.0}, scale={"requests": 48})
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == BENCH_SCHEMA
-        assert payload["bench"] == "serving"
-        assert payload["runs"][0]["metrics"]["throughput_sps"] == 100.0
-        assert payload["runs"][0]["scale"]["requests"] == 48
-        assert run["git_sha"]
-
-    def test_appends_a_trajectory(self, tmp_path):
-        path = tmp_path / "BENCH_serving.json"
-        for value in (1.0, 2.0, 3.0):
-            BenchRecorder(path, bench="serving").record({"speedup": value})
-        runs = BenchRecorder(path, bench="serving").runs()
-        assert [run["metrics"]["speedup"] for run in runs] == [1.0, 2.0, 3.0]
-        assert BenchRecorder(path, bench="serving").latest()["metrics"]["speedup"] == 3.0
-
-    def test_bounded_to_max_runs(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        recorder = BenchRecorder(path, bench="serving", max_runs=2)
-        for value in (1.0, 2.0, 3.0):
-            recorder.record({"v": value})
-        assert [run["metrics"]["v"] for run in recorder.runs()] == [2.0, 3.0]
-
-    def test_foreign_schema_replaced_not_merged(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text(json.dumps({"schema": "other/v9", "runs": [{"x": 1}]}))
-        BenchRecorder(path, bench="serving").record({"v": 1.0})
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == BENCH_SCHEMA
-        assert len(payload["runs"]) == 1
-
-    def test_bench_name_mismatch_starts_fresh(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        BenchRecorder(path, bench="serving").record({"v": 1.0})
-        BenchRecorder(path, bench="lifetime").record({"v": 2.0})
-        payload = json.loads(path.read_text())
-        assert payload["bench"] == "lifetime"
-        assert len(payload["runs"]) == 1
-
-    def test_numpy_metrics_fail_fast(self, tmp_path):
-        recorder = BenchRecorder(tmp_path / "BENCH.json", bench="serving")
-        with pytest.raises(TypeError):
-            recorder.record({"throughput": np.float32(1.0)})
-
-    def test_rejects_bad_max_runs(self, tmp_path):
-        with pytest.raises(ValueError):
-            BenchRecorder(tmp_path / "b.json", bench="serving", max_runs=0)

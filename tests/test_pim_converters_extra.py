@@ -14,6 +14,8 @@ INF = float("inf")
     [
         ({"bits": 1}, "at least 2 bits"),
         ({"bits": 0}, "at least 2 bits"),
+        ({"bits": 8.5}, "bits must be an int"),
+        ({"bits": True}, "bits must be an int"),
         ({"v_step": 0.0}, "v_step"),
         ({"v_step": -1.0}, "v_step"),
         ({"v_step": INF}, "v_step"),
@@ -21,7 +23,8 @@ INF = float("inf")
     ],
 )
 def test_dac_rejects_invalid_config(kwargs, message):
-    """A DAC that would zero every code or flip the sign of 0 V fails to construct."""
+    """A DAC with a non-integral code range, or one that would zero every
+    code or flip the sign of 0 V, fails to construct."""
 
     with pytest.raises(ValueError, match=message):
         DAC(**kwargs)
@@ -32,16 +35,23 @@ def test_dac_rejects_invalid_config(kwargs, message):
     [
         ({"bits": 1}, "at least 2 bits"),
         ({"bits": 1, "ideal": True}, "at least 2 bits"),
+        ({"bits": 8.5}, "bits must be an int"),
         ({"full_scale": 0.0}, "full_scale"),
         ({"full_scale": -2.0}, "full_scale"),
         ({"full_scale": INF}, "full_scale"),
         ({"full_scale": NAN}, "full_scale"),
         ({"noise_rms": -0.01}, "noise_rms"),
         ({"noise_rms": NAN}, "noise_rms"),
+        ({"noise_rms": INF}, "noise_rms"),
+        ({"offset_error": NAN}, "offset_error"),
+        ({"offset_error": INF}, "offset_error"),
+        ({"gain_error": NAN}, "gain_error"),
+        ({"gain_error": -INF}, "gain_error"),
     ],
 )
 def test_adc_rejects_invalid_config(kwargs, message):
-    """An ADC with no LSB, a degenerate range or negative noise fails to construct."""
+    """An ADC with no LSB, a degenerate range, negative noise or a non-finite
+    error term fails to construct."""
 
     with pytest.raises(ValueError, match=message):
         ADC(**kwargs)

@@ -20,10 +20,6 @@ class TestUniform:
         ticks = UniformTrace(rate=0.5).schedule(3)
         assert ticks == [0, 2, 4]
 
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            UniformTrace(rate=0.0)
-
 
 class TestPoisson:
     def test_schedule_is_sorted_and_nonnegative(self):
@@ -60,6 +56,34 @@ class TestBursty:
     def test_schedule_non_decreasing(self):
         ticks = BurstyTrace(seed=5).schedule(64)
         assert ticks == sorted(ticks)
+
+
+@pytest.mark.parametrize(
+    "trace, kwargs, message",
+    [
+        (UniformTrace, {"rate": 0.0}, "rate"),
+        (UniformTrace, {"rate": -1.0}, "rate"),
+        (UniformTrace, {"rate": float("nan")}, "rate"),
+        (UniformTrace, {"rate": float("inf")}, "rate"),
+        (PoissonTrace, {"rate": 0.0}, "rate"),
+        (PoissonTrace, {"rate": float("nan")}, "rate"),
+        (PoissonTrace, {"rate": float("inf")}, "rate"),
+        (BurstyTrace, {"rate": -1.0}, "rate"),
+        (BurstyTrace, {"rate": float("nan")}, "rate"),
+        (BurstyTrace, {"burst_rate": 0.0}, "burst_rate"),
+        (BurstyTrace, {"burst_rate": float("inf")}, "burst_rate"),
+        (BurstyTrace, {"period": 0}, "period"),
+        (BurstyTrace, {"period": 2.5}, "period"),
+        (BurstyTrace, {"duty": 0.0}, "duty"),
+        (BurstyTrace, {"duty": 1.5}, "duty"),
+        (BurstyTrace, {"duty": float("nan")}, "duty"),
+    ],
+)
+def test_rejects_nonpositive_rate(trace, kwargs, message):
+    """Rates, the burst period and the duty cycle are checked at construction,
+    so a NaN rate cannot schedule arrivals at a wrapped-around tick."""
+    with pytest.raises(ValueError, match=message):
+        trace(**kwargs)
 
 
 class TestReplay:

@@ -3,21 +3,24 @@
 A lifecycle probe round sends the same batch through every chip.  This
 measures, per chip, the forward-pass cost of probing one 16-chip chunk
 with the tiny-scale LeNet-5 (A4W2, 64 probe images) that
-``lifetime-bench`` and the ``drift-lifetime`` benchmark workload serve:
+``lifetime-bench`` and the ``drift-lifetime`` benchmark workload serve,
+programmed on either backend (``--backend fake-quant`` or ``circuit``):
 
 * ``per-chip`` — each chip's own ``ProgrammedChip.forward``;
 * ``merged`` — one 16-chip ``FusedFleetForward`` group over the batch
   repeated per chip (every downstream temporary is 16 times larger);
 * ``shared-stem`` — what ``InferenceEngine.probe_fleet`` runs: one stack
   per chunk, each chip a one-chip group through
-  ``FusedFleetForward.forward_shared``, so the first layer's quantized
-  im2col matrix is built once per chunk.
+  ``FusedFleetForward.forward_shared``, so the first layer's patch
+  matrix (quantized activations on fake-quant chips, DAC voltages on
+  circuit chips) is built once per chunk.
 
 Stack builds count toward their way's time.  The three ways are
-interleaved over the rounds, and their outputs are checked bit-equal.
-Run directly, with BLAS on one thread for host-comparable numbers::
+interleaved over the rounds, and their outputs are checked bit-equal
+first; the script exits 1 on any difference.  Run directly, with BLAS on
+one thread for host-comparable numbers::
 
-    OPENBLAS_NUM_THREADS=1 python benchmarks/bench_probe.py [--rounds 21]
+    OPENBLAS_NUM_THREADS=1 python benchmarks/bench_probe.py [--rounds 21] [--backend circuit]
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ CHIPS = 16
 PROBE_IMAGES = 64
 
 
-def build_chunk():
-    """A calibrated tiny LeNet-5, ``CHIPS`` programmed chips and a probe batch."""
-    from repro.backends import FakeQuantBackend
+def build_chunk(backend: str):
+    """A calibrated tiny LeNet-5, ``CHIPS`` chips programmed on ``backend``
+    and a probe batch."""
+    from repro.backends import make_backend
     from repro.datasets.loaders import batch_iterator
     from repro.datasets.synthetic import make_pattern_dataset
     from repro.experiments.configs import EXPERIMENT_SCALES, model_for
@@ -57,9 +61,9 @@ def build_chunk():
     calibrate_model(model, batch_iterator(dataset, 32, shuffle=False), max_batches=2)
     model.eval()
     spec = VariabilitySpec.mixed(0.3 / np.sqrt(2.0), WeightProportionalVariance())
-    backend = FakeQuantBackend()
+    programmer = make_backend(backend)
     chips = [
-        backend.program(
+        programmer.program(
             model, VariabilitySampler(spec, seed=i).sample_chip(), spec=spec, chip_id=f"c{i}"
         )
         for i in range(CHIPS)
@@ -72,8 +76,11 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=21)
+    parser.add_argument("--backend", choices=("fake-quant", "circuit"), default="fake-quant")
     args = parser.parse_args(argv)
-    chips, batch = build_chunk()
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    chips, batch = build_chunk(args.backend)
 
     def per_chip():
         return [chip.forward(batch) for chip in chips]
@@ -89,7 +96,7 @@ def main(argv=None) -> int:
     reference = per_chip()
     for name, way in ways.items():
         if not all(np.array_equal(a, b) for a, b in zip(way(), reference)):
-            print(f"FAIL: {name} outputs differ from per-chip forwards")
+            print(f"FAIL: {name} outputs differ from per-chip forwards ({args.backend})")
             return 1
     per_chip_ms = {name: [] for name in ways}
     for _ in range(args.rounds):
@@ -97,9 +104,12 @@ def main(argv=None) -> int:
             started = time.perf_counter()
             way()
             per_chip_ms[name].append(1e3 * (time.perf_counter() - started) / CHIPS)
-    print(f"{CHIPS} chips x {PROBE_IMAGES} probe images, {args.rounds} interleaved rounds")
+    print(
+        f"{args.backend}: {CHIPS} chips x {PROBE_IMAGES} probe images, "
+        f"{args.rounds} interleaved rounds; outputs bit-equal"
+    )
     for name, values in per_chip_ms.items():
-        low, _, high = statistics.quantiles(values, n=4)
+        low, _, high = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
         print(
             f"{name:12s} median {statistics.median(values):6.2f} ms/chip "
             f"(IQR {low:.2f}-{high:.2f})"

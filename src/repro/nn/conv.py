@@ -4,9 +4,20 @@ The analog-PIM mapping in the paper lowers convolutions to matrix-vector
 products over im2col patches; this implementation mirrors that lowering,
 which also makes it the natural integration point for crossbar simulation
 (:mod:`repro.pim`) and the LTM patch-sum estimation (:mod:`repro.selftuning`).
+
+:func:`im2col` builds every patch matrix in the package: the fake-quant
+and circuit layers, their fused fleet stacks, average pooling, the LTM
+patch sums and training.  It is one gather per call: each sample is
+flattened, and ``np.take`` copies the elements that a precomputed index
+names.  The index holds the flat source offset of every patch element,
+with padded positions pointing at one zero slot appended to each sample.
+It depends only on the geometry (channels, height, width, kernel,
+stride, padding), so it is built once per geometry and cached.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -15,17 +26,67 @@ from repro.nn import init
 from repro.nn.module import Module, Parameter
 
 
-def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) -> np.ndarray:
-    """Lower NCHW input to patch matrix of shape ``(N, H_out, W_out, C*kh*kw)``."""
-    kh, kw = kernel
+@lru_cache(maxsize=64)
+def _patch_index(
+    c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int
+) -> np.ndarray:
+    """Read-only flat gather index of one sample's patch matrix.
+
+    Shape ``(H_out, W_out, C*kh*kw)``, elements in ``(c, i, j)`` order
+    within a patch.  Entry ``(ho, wo, c, i, j)`` is the offset
+    ``c*H*W + (ho*stride + i - padding)*W + (wo*stride + j - padding)`` of
+    that element in the flattened ``(C, H, W)`` sample, or ``C*H*W`` (the
+    zero slot :func:`im2col` appends) where the position is padding.
+    """
+    h_out = conv_output_size(h, kh, stride, padding)
+    w_out = conv_output_size(w, kw, stride, padding)
+    rows = (np.arange(h_out) * stride)[:, None] + np.arange(kh) - padding  # (H_out, kh)
+    cols = (np.arange(w_out) * stride)[:, None] + np.arange(kw) - padding  # (W_out, kw)
+    index = (
+        (np.arange(c) * (h * w))[None, None, :, None, None]
+        + (rows * w)[:, None, None, :, None]
+        + cols[None, :, None, None, :]
+    )
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    # (N, C, Ho, Wo, kh, kw) -> (N, Ho, Wo, C, kh, kw)
-    windows = windows.transpose(0, 2, 3, 1, 4, 5)
-    n, h_out, w_out = windows.shape[:3]
-    return np.ascontiguousarray(windows).reshape(n, h_out, w_out, -1)
+        inside = ((rows >= 0) & (rows < h))[:, None, None, :, None] & (
+            (cols >= 0) & (cols < w)
+        )[None, :, None, None, :]
+        index = np.where(inside, index, c * h * w)
+    index = np.ascontiguousarray(index.reshape(h_out, w_out, c * kh * kw), dtype=np.intp)
+    index.flags.writeable = False
+    return index
+
+
+def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) -> np.ndarray:
+    """Lower NCHW input to patch matrix of shape ``(N, H_out, W_out, C*kh*kw)``.
+
+    Row ``(n, ho, wo)`` is the ``(C, kh, kw)`` window of sample ``n`` at
+    output position ``(ho, wo)``, flattened, with zeros where the window
+    covers padding.  The result is a new C-contiguous array of ``x``'s
+    dtype, gathered in one ``np.take`` through the cached
+    :func:`_patch_index` of this geometry (the module docstring has the
+    scheme).  Raises ``ValueError`` when the kernel does not fit the
+    padded input.
+    """
+    n, c, h, w = x.shape
+    kh, kw = kernel
+    if min(kh, kw, stride) < 1 or padding < 0:
+        raise ValueError(
+            f"im2col needs a positive kernel and stride and a non-negative padding, "
+            f"got kernel {kernel}, stride {stride}, padding {padding}"
+        )
+    if kh > h + 2 * padding or kw > w + 2 * padding:
+        raise ValueError(
+            f"im2col kernel {kernel} is larger than the padded input "
+            f"{(h + 2 * padding, w + 2 * padding)}"
+        )
+    index = _patch_index(c, h, w, kh, kw, stride, padding)
+    src = x.reshape(n, c * h * w)
+    if padding:
+        src = np.concatenate((src, np.zeros((n, 1), dtype=x.dtype)), axis=1)
+    # The index is in range by construction, so "wrap" never moves an
+    # entry; it only skips the per-element bounds check "raise" pays for.
+    return np.take(src, index, axis=1, mode="wrap")
 
 
 def col2im(

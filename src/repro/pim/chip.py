@@ -183,6 +183,8 @@ class MappedConv2d(_MappedLayer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """NCHW float activations in, NCHW float conv outputs out."""
+        # Looked up per call, so a wrapper set on repro.nn.conv.im2col
+        # (perfbench's traced mode) also times circuit convs.
         from repro.nn.conv import im2col
 
         x = np.asarray(x, dtype=np.float64)

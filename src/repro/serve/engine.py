@@ -1120,6 +1120,8 @@ class InferenceEngine:
             [item.queue_ticks for item in served],
             seconds,
             energy_uj=energy_uj,
+            request_ids=[item.id for item in served],
+            outputs=outputs,
         )
         return served
 

@@ -12,12 +12,18 @@ lets one Prometheus dump cover the whole stack.
 
 from __future__ import annotations
 
+import hashlib
 from collections import defaultdict
+
+import numpy as np
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 
 #: The quantile points every latency-shaped report carries.
 QUANTILES = (50.0, 95.0, 99.0)
+#: Per-batch output hashes are summed modulo this, so the running total
+#: does not depend on the order a tick's batches complete in.
+_SERVED_MODULUS = 1 << 256
 
 
 class ServeTelemetry:
@@ -31,6 +37,8 @@ class ServeTelemetry:
     * ``batch_size`` / ``occupancy`` — how full released batches are
       relative to ``max_batch``;
     * ``per_chip_samples`` — samples served by each chip (load balance);
+    * served values — one SHA-256 per batch over its chip, request ids
+      and output rows (:meth:`record_batch`), summed into :meth:`digest`;
     * ``batch_energy_uj`` / ``per_chip_energy_uj`` — estimated physical
       energy of each dispatched batch (from
       :meth:`repro.backends.ProgrammedChip.cost`), total and per chip, in
@@ -164,6 +172,10 @@ class ServeTelemetry:
         #: outcome — the SLO-violation-over-time series the ``--slo`` bench
         #: plots and gates on.
         self.slo_series: list[tuple[int, int, int]] = []
+        #: Sum, modulo 2**256, of one SHA-256 per recorded batch over its
+        #: chip, request ids and output rows: what :meth:`digest` knows of
+        #: the served values themselves.
+        self._served = 0
         self._cache = None
 
     # ------------------------------------------------------------------
@@ -182,7 +194,14 @@ class ServeTelemetry:
         self._cache = cache
 
     def record_batch(
-        self, chip_id: str, queue_ticks, seconds: float, energy_uj: float | None = None
+        self,
+        chip_id: str,
+        queue_ticks,
+        seconds: float,
+        energy_uj: float | None = None,
+        *,
+        request_ids,
+        outputs,
     ) -> None:
         """Account one dispatched batch.
 
@@ -190,7 +209,18 @@ class ServeTelemetry:
         fused into the batch, so the latency meter sees true tails rather
         than batch averages.  ``energy_uj`` is the chip's estimated physical
         cost of the batch (``None`` when the backend has no cost estimator).
+        ``request_ids`` and ``outputs`` (one output row per request, in the
+        same order) are what the batch served: a SHA-256 of them and the
+        chip id is added into :meth:`digest`'s record of served values.
         """
+        rows = np.ascontiguousarray(outputs)
+        batch_hash = hashlib.sha256(
+            "\n".join([chip_id, *map(str, request_ids), rows.dtype.str, str(rows.shape)]).encode()
+        )
+        batch_hash.update(rows)
+        self._served = (
+            self._served + int.from_bytes(batch_hash.digest(), "big")
+        ) % _SERVED_MODULUS
         size = len(queue_ticks)
         self._requests.inc(size)
         self._batches.inc()
@@ -396,12 +426,13 @@ class ServeTelemetry:
         with what queueing, energy, SLO, or fault outcomes.  Wall-time
         histograms (service/request seconds), the fused counters and the
         probe counters (how a quality was measured, not what it was) are
-        therefore excluded; everything else — request and
-        batch counts, per-chip load and energy, tick-valued histograms,
-        fault/retry/dead-letter accounting, SLO series, lifecycle events
-        — is included.
+        therefore excluded; everything else — the served outputs (every
+        recorded batch's chip, request ids and output bytes, summed
+        per batch so the order a tick's batches complete in does not
+        matter), request and batch counts, per-chip load and energy,
+        tick-valued histograms, fault/retry/dead-letter accounting, SLO
+        series, lifecycle events — is included.
         """
-        import hashlib
         import json
 
         def hist(histogram: Histogram) -> dict:
@@ -416,6 +447,7 @@ class ServeTelemetry:
             slo_by_tick[int(tick)] = (met, violations)
 
         payload = {
+            "served": f"{self._served:064x}",
             "requests": self.requests,
             "batches": self.batches,
             "per_chip_samples": dict(self.per_chip_samples),

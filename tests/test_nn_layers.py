@@ -6,7 +6,7 @@ import pytest
 from repro import nn
 from repro.autograd import Tensor, no_grad
 from repro.autograd.grad_check import numerical_gradient
-from repro.nn.conv import col2im, conv_output_size, im2col
+from repro.nn.conv import _patch_index, col2im, conv_output_size, im2col
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -107,6 +107,121 @@ class TestIm2col:
         assert conv_output_size(32, 3, 1, 1) == 32
         assert conv_output_size(32, 3, 2, 1) == 16
         assert conv_output_size(28, 5, 1, 0) == 24
+
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 3), (5, 5), (1, 3), (3, 2)])
+    def test_matches_window_reference_byte_for_byte(self, rng, kernel, stride, padding):
+        """Same shape, dtype, layout and bytes as the sliding-window lowering,
+        including -0.0, NaN and ±inf, on every batch, channel count and
+        non-square input of the grid; a kernel that does not fit the padded
+        input raises, as it always did."""
+        for batch in (0, 1, 7):
+            for channels in (1, 3):
+                for height, width in ((4, 7), (9, 6)):
+                    x = _special_values(rng.normal(size=(batch, channels, height, width)))
+                    fits = kernel[0] <= height + 2 * padding and kernel[1] <= width + 2 * padding
+                    if not fits:
+                        with pytest.raises(ValueError):
+                            _window_im2col(x, kernel, stride, padding)
+                        with pytest.raises(ValueError):
+                            im2col(x, kernel, stride, padding)
+                        continue
+                    _assert_same_bytes(
+                        im2col(x, kernel, stride, padding),
+                        _window_im2col(x, kernel, stride, padding),
+                    )
+
+    @pytest.mark.parametrize("padding", [0, 2])
+    def test_non_contiguous_input_view(self, rng, padding):
+        base = _special_values(rng.normal(size=(3, 6, 9, 14)))
+        for x in (base[:, ::2, :, 1::2], base.transpose(0, 1, 3, 2), np.asfortranarray(base)):
+            assert not x.flags.c_contiguous
+            _assert_same_bytes(
+                im2col(x, (3, 3), 2, padding), _window_im2col(x, (3, 3), 2, padding)
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.bool_])
+    def test_keeps_input_dtype(self, rng, dtype):
+        x = (rng.normal(size=(2, 2, 5, 6)) * 4).astype(dtype)
+        _assert_same_bytes(im2col(x, (3, 3), 1, 1), _window_im2col(x, (3, 3), 1, 1))
+
+    def test_kernel_larger_than_padded_input_raises(self, rng):
+        x = rng.normal(size=(1, 1, 4, 4))
+        with pytest.raises(ValueError):
+            im2col(x, (5, 5), 1, 0)
+        with pytest.raises(ValueError):
+            im2col(x, (3, 7), 1, 1)
+        assert im2col(x, (5, 5), 1, 1).shape == (1, 2, 2, 25)
+
+    @pytest.mark.parametrize(
+        "kernel, stride, padding", [((0, 3), 1, 0), ((3, 3), 0, 0), ((3, 3), -1, 1), ((3, 3), 1, -1)]
+    )
+    def test_invalid_geometry_raises(self, rng, kernel, stride, padding):
+        # Checked up front: the gather does not bounds-check its index, so a
+        # negative padding would otherwise wrap around to wrong elements.
+        with pytest.raises(ValueError):
+            im2col(rng.normal(size=(1, 2, 6, 6)), kernel, stride, padding)
+
+    @pytest.mark.parametrize("kernel, padding", [((1, 1), 0), ((3, 3), 0), ((3, 3), 1)])
+    def test_result_is_writable_and_owns_its_memory(self, rng, kernel, padding):
+        # A 1x1 kernel over one channel once came back as a read-only view
+        # of the input; every geometry now returns a fresh array.
+        x = rng.normal(size=(2, 1, 5, 5))
+        cols = im2col(x, kernel, 1, padding)
+        index = _patch_index(1, 5, 5, *kernel, 1, padding)
+        assert cols.flags.writeable and cols.flags.c_contiguous
+        assert not np.shares_memory(cols, x)
+        assert not np.shares_memory(cols, index)
+        cols[...] = 7.0
+        assert not (x == 7.0).any()
+        assert not index.flags.writeable
+
+    def test_index_built_once_per_geometry(self, rng):
+        _patch_index.cache_clear()
+        x = rng.normal(size=(4, 3, 10, 10))
+        first = im2col(x, (5, 5), 1, 2)
+        for rows in (1, 2, 4):
+            im2col(x[:rows], (5, 5), 1, 2)
+        assert _patch_index.cache_info().misses == 1
+        assert _patch_index.cache_info().hits == 3
+        im2col(x, (5, 5), 2, 2)
+        assert _patch_index.cache_info().misses == 2
+        np.testing.assert_array_equal(im2col(x, (5, 5), 1, 2), first)
+
+
+def _window_im2col(x, kernel, stride, padding):
+    """The sliding-window lowering im2col used before the gather.
+
+    Kept as the reference the gather must reproduce byte for byte.  Only
+    the final reshape names the patch width: ``-1`` cannot be inferred for
+    an empty batch, where the old body raised.
+    """
+    kh, kw = kernel
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride, :, :]
+    # (N, C, Ho, Wo, kh, kw) -> (N, Ho, Wo, C, kh, kw)
+    windows = windows.transpose(0, 2, 3, 1, 4, 5)
+    n, h_out, w_out = windows.shape[:3]
+    return np.ascontiguousarray(windows).reshape(n, h_out, w_out, x.shape[1] * kh * kw)
+
+
+def _special_values(x):
+    """``x`` with -0.0, NaN, +inf and -inf planted where it has room."""
+    flat = x.reshape(-1)
+    for position, value in zip((0, 3, -1, -4), (-0.0, np.nan, np.inf, -np.inf)):
+        if flat.size > abs(position):
+            flat[position] = value
+    return x
+
+
+def _assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 class TestPooling:

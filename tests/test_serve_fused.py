@@ -323,3 +323,54 @@ def test_digest_is_deterministic_and_workload_sensitive(served_model):
     assert first.telemetry.digest() == second.telemetry.digest()
     shorter = _serve_bursty(_engine(model, True), workload[:12])
     assert shorter.telemetry.digest() != first.telemetry.digest()
+
+
+@pytest.mark.parametrize("backend", ["fake-quant", "circuit"])
+def test_digest_covers_served_outputs(served_model, monkeypatch, backend):
+    """One logit of one chip moved by one ulp changes the digest; the
+    routing, and every other accounted quantity, does not change."""
+    model, dataset = served_model
+    workload = _workload(dataset, 24)
+    plain = _serve_bursty(_engine(model, False, backend=backend), workload)
+    programmed_type = type(plain.programmed_for(plain.fleet[0]))
+    forward = programmed_type.forward
+
+    def nudged(self, inputs):
+        out = forward(self, inputs)
+        if self.chip_id == plain.fleet[1].chip_id:
+            out = out.copy()
+            out[0, 0] = np.nextafter(out[0, 0], np.inf)
+        return out
+
+    monkeypatch.setattr(programmed_type, "forward", nudged)
+    perturbed = _serve_bursty(_engine(model, False, backend=backend), workload)
+    out_p, chips_p, digest_p = _snapshot(plain)
+    out_n, chips_n, digest_n = _snapshot(perturbed)
+    assert chips_n == chips_p
+    differ = [rid for rid in out_p if not np.array_equal(out_p[rid], out_n[rid])]
+    assert differ and all(chips_p[rid] == plain.fleet[1].chip_id for rid in differ)
+    assert digest_n != digest_p
+
+
+def test_served_hash_ignores_batch_completion_order():
+    """The fused path completes a tick's batches after staging them all:
+    the digest must not depend on the order batches are recorded in."""
+    from repro.serve.telemetry import ServeTelemetry
+
+    batches = [
+        ("chip-0", ["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]])),
+        ("chip-1", ["c"], np.array([[5.0, -0.0]])),
+        ("chip-0", ["d"], np.array([[7.0, 8.0]])),
+    ]
+
+    def digest(order, rows=None):
+        telemetry = ServeTelemetry(max_batch=2)
+        for chip, ids, outputs in (batches[i] for i in order):
+            telemetry.record_batch(
+                chip, [0] * len(ids), 1e-3, 1.0, request_ids=ids,
+                outputs=outputs if rows is None or ids[0] != "c" else rows,
+            )
+        return telemetry.digest()
+
+    assert digest([0, 1, 2]) == digest([2, 1, 0]) == digest([1, 0, 2])
+    assert digest([0, 1, 2], rows=np.array([[5.0, 0.0]])) != digest([0, 1, 2])

@@ -24,24 +24,36 @@ Examples::
 
 ``run`` trains one method and prints the Monte Carlo robustness summary;
 ``compare`` runs QAVAT vs QAT vs PTQ-VAT on one configuration (one column
-of Table I); ``serve-bench`` drives a simulated chip fleet through the
-:mod:`repro.serve` engine and reports batched-vs-sequential throughput —
-with ``--drift`` the fleet ages under a drift process and the chosen
-policy is raced against round-robin on end-of-trace accuracy, and with
-``--chaos`` a deterministic fault schedule (chip deaths, stuck-at maps,
-transient errors) hits the fleet mid-trace and the bench reports goodput
-under faults plus a bit-reproducibility check, and with ``--slo`` every
-request carries a deadline and policies race on SLO attainment under a
-reproducibility + violation-ceiling gate;
-``lifetime-bench`` runs the full lifecycle story (drift, probes,
-recalibrations) across several policies and prints the drift/recovery
-curves.  Results are also appended as JSON under ``--results-dir``.
+of Table I).  ``serve-bench`` and ``lifetime-bench`` drive a simulated
+chip fleet through the :mod:`repro.serve` engine.  Every mode of both is
+a sequence of sessions from one runner, :func:`_serve`: it builds the
+engine, programs the fleet and, when the policy routes on chip quality
+(:data:`QUALITY_POLICIES`), probes it before traffic, then serves the
+requests and returns a :class:`_Session`.
+
+* Plain ``serve-bench`` serves a sequential reference and a batched
+  session and reports the batching speedup.
+* ``--drift`` ages the fleet under a chip lifecycle (drift, probes,
+  recalibrations) and races the chosen policy against drift-aware and
+  round-robin on end-of-trace accuracy; ``lifetime-bench`` runs the same
+  race (:func:`_drift_race`) over ``--policies``.
+* ``--chaos`` hits the fleet with a deterministic fault schedule (chip
+  deaths, stuck-at maps, transient errors) and gates on goodput.
+* ``--slo`` gives every request a deadline, races policies on SLO
+  attainment and gates on a violation ceiling.
+
+``--chaos`` and ``--slo`` rerun a session and exit non-zero unless the
+rerun reproduces it bit for bit (:func:`_reproducible`).  Every mode
+prints ``telemetry digest:`` lines and saves one JSON record under
+``--results-dir``, headed by the session shape (:data:`RECORD_HEADER`).
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,6 +68,9 @@ from repro.selftuning.tuner import SelfTuningConfig
 from repro.serve.scheduler import POLICIES as SERVE_POLICIES
 from repro.variability.models import variance_model_by_name
 from repro.variability.sampler import VariabilitySpec
+
+if TYPE_CHECKING:
+    from repro.serve import FaultInjector, InferenceEngine
 
 
 def _positive_int(value: str) -> int:
@@ -88,94 +103,61 @@ def build_parser() -> argparse.ArgumentParser:
 
     commands.add_parser("list", help="list models, scales, methods, scenarios")
 
-    for name in ("run", "compare", "sweep"):
-        helps = {
-            "run": "train one method",
-            "compare": "run all three methods on one configuration",
-            "sweep": "one method across a sigma sweep (one figure panel)",
-        }
-        sub = commands.add_parser(name, help=helps[name])
+    def add_chip_args(sub, scenario: str) -> None:
+        """The model, variation and chip-programming flags of every command."""
+        sub.add_argument("--model", choices=sorted(WORKLOADS), default="lenet5")
+        sub.add_argument("--notation", default="A4W2", help="AxWy bit widths")
+        sub.add_argument("--sigma", type=float, default=0.3, help="sigma_tot")
+        sub.add_argument(
+            "--scenario", choices=("within", "mixed"), default=scenario,
+            help="within-chip only, or equal within+between (paper Sec. IV)",
+        )
+        sub.add_argument(
+            "--variance-model", choices=("weight-proportional", "layer-fixed"),
+            default="weight-proportional",
+        )
+        sub.add_argument("--scale", choices=sorted(EXPERIMENT_SCALES), default="tiny")
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument(
+            "--self-tuning", choices=("none", "global", "layer"), default="none",
+            help="attach a self-tuning architecture to every programmed chip",
+        )
+        sub.add_argument("--gtm-cells", type=int, default=1000)
+        sub.add_argument("--ltm-columns", type=int, default=1)
+        sub.add_argument(
+            "--backend", choices=sorted(BACKENDS), default="fake-quant",
+            help="how chips are programmed: fake-quant replicas or "
+            "circuit-level PimChips (DAC -> crossbar MVM -> ADC)",
+        )
+        sub.add_argument("--results-dir", default="results")
+
+    helps = {
+        "run": "train one method",
+        "compare": "run all three methods on one configuration",
+        "sweep": "one method across a sigma sweep (one figure panel)",
+    }
+    for name, text in helps.items():
+        sub = commands.add_parser(name, help=text)
+        add_chip_args(sub, scenario="within")
         if name in ("run", "sweep"):
             sub.add_argument("--method", choices=METHODS, default="qavat")
         if name == "sweep":
             sub.add_argument(
-                "--sigmas",
-                type=float,
-                nargs="+",
-                default=[0.1, 0.3, 0.5],
+                "--sigmas", type=float, nargs="+", default=[0.1, 0.3, 0.5],
                 help="sigma_tot values to sweep",
             )
-        sub.add_argument("--model", choices=sorted(WORKLOADS), default="lenet5")
-        sub.add_argument("--notation", default="A4W2", help="AxWy bit widths")
-        sub.add_argument("--sigma", type=float, default=0.3, help="sigma_tot")
-        sub.add_argument(
-            "--scenario",
-            choices=("within", "mixed"),
-            default="within",
-            help="within-chip only, or equal within+between (paper Sec. IV)",
-        )
-        sub.add_argument(
-            "--variance-model",
-            choices=("weight-proportional", "layer-fixed"),
-            default="weight-proportional",
-        )
-        sub.add_argument("--scale", choices=sorted(EXPERIMENT_SCALES), default="tiny")
         sub.add_argument("--samples", type=int, default=1, help="variation samples/step")
-        sub.add_argument("--seed", type=int, default=0)
         sub.add_argument(
-            "--self-tuning",
-            choices=("none", "global", "layer"),
-            default="none",
-            help="attach a self-tuning architecture before evaluation",
-        )
-        sub.add_argument("--gtm-cells", type=int, default=1000)
-        sub.add_argument("--ltm-columns", type=int, default=1)
-        sub.add_argument(
-            "--backend",
-            choices=sorted(BACKENDS),
-            default="fake-quant",
-            help="chip-programming fidelity for the Monte Carlo evaluation "
-            "(fake-quant replicas, or circuit-level PimChips)",
-        )
-        sub.add_argument("--results-dir", default="results")
-        sub.add_argument(
-            "--accuracy-spec",
-            type=float,
-            default=0.5,
+            "--accuracy-spec", type=float, default=0.5,
             help="accuracy floor for the parametric-yield summary",
         )
 
-    def add_serving_args(sub, default_policy: str) -> None:
-        sub.add_argument("--model", choices=sorted(WORKLOADS), default="lenet5")
-        sub.add_argument("--notation", default="A4W2", help="AxWy bit widths")
-        sub.add_argument("--sigma", type=float, default=0.3, help="sigma_tot")
-        sub.add_argument("--scenario", choices=("within", "mixed"), default="mixed")
-        sub.add_argument(
-            "--variance-model",
-            choices=("weight-proportional", "layer-fixed"),
-            default="weight-proportional",
-        )
-        sub.add_argument("--scale", choices=sorted(EXPERIMENT_SCALES), default="tiny")
-        sub.add_argument("--seed", type=int, default=0)
+    def add_serving_args(sub) -> None:
+        add_chip_args(sub, scenario="mixed")
         sub.add_argument(
             "--skip-training",
             action="store_true",
             help="calibrate an untrained model (throughput-only runs, seconds not minutes)",
-        )
-        sub.add_argument(
-            "--self-tuning",
-            choices=("none", "global", "layer"),
-            default="none",
-            help="attach self-tuning to every programmed chip mapping",
-        )
-        sub.add_argument("--gtm-cells", type=int, default=1000)
-        sub.add_argument("--ltm-columns", type=int, default=1)
-        sub.add_argument(
-            "--backend",
-            choices=sorted(BACKENDS),
-            default="fake-quant",
-            help="how fleet chips are realized: fake-quant replicas or "
-            "circuit-level PimChips (DAC -> crossbar MVM -> ADC)",
         )
         sub.add_argument("--num-chips", type=_positive_int, default=4)
         sub.add_argument(
@@ -184,9 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=True,
             help="batched cross-chip dispatch (bit-identical to per-chip "
             "dispatch; --no-fused is a debugging/parity aid)",
-        )
-        sub.add_argument(
-            "--policy", choices=sorted(SERVE_POLICIES), default=default_policy
         )
         sub.add_argument("--max-batch", type=_positive_int, default=32)
         sub.add_argument(
@@ -238,19 +217,21 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--dt", type=float, default=1.0, help="virtual drift time per tick"
         )
-        sub.add_argument("--results-dir", default="results")
 
     serve = commands.add_parser(
         "serve-bench",
         help="benchmark batched fleet serving against sequential inference",
     )
-    add_serving_args(serve, default_policy="round-robin")
+    add_serving_args(serve)
+    serve.add_argument(
+        "--policy", choices=sorted(SERVE_POLICIES), default="round-robin"
+    )
     serve.add_argument(
         "--drift",
         action="store_true",
-        help="age the fleet while it serves; race --policy against round-robin "
-        "on end-of-trace accuracy (implies --fleet rram:2,flash:2 and "
-        "--trace uniform unless given)",
+        help="age the fleet while it serves; race --policy, drift-aware and "
+        "round-robin on end-of-trace accuracy (implies --fleet rram:2,flash:2 "
+        "and --trace uniform unless given)",
     )
     serve.add_argument(
         "--chaos",
@@ -261,15 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--fault-seed", type=int, default=0,
-        help="seed of the chaos schedule and hazard stream (--chaos)",
+        help="seed of the chaos schedule and hazard stream (--chaos, --slo)",
     )
     serve.add_argument(
         "--transient-rate", type=float, default=0.05,
-        help="per-dispatch-attempt transient failure probability (--chaos)",
+        help="per-dispatch-attempt transient failure probability (--chaos, --slo)",
     )
     serve.add_argument(
         "--latency-rate", type=float, default=0.0,
-        help="per-dispatch-attempt latency-spike probability (--chaos)",
+        help="per-dispatch-attempt latency-spike probability (--chaos, --slo)",
     )
     serve.add_argument(
         "--deaths", type=_nonnegative_int, default=1,
@@ -311,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lifetime-bench",
         help="drift/probe/recalibrate lifecycle across scheduling policies",
     )
-    add_serving_args(lifetime, default_policy="drift-aware")
+    add_serving_args(lifetime)
     lifetime.add_argument(
         "--policies",
         nargs="+",
@@ -475,6 +456,19 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+#: The policies that route on ``chip.quality``.  Every session probes the
+#: fleet for them before traffic (a drifting session's lifecycle does it at
+#: install), so none routes on an unprobed chip, which reads as quality 1.0.
+QUALITY_POLICIES = ("accuracy-weighted", "drift-aware", "energy-aware", "latency-aware")
+
+#: The session shape every saved serving record starts with.
+RECORD_HEADER = (
+    "model", "notation", "sigma", "scenario", "backend", "num_chips", "fleet",
+    "max_batch", "max_wait", "max_resident_chips", "requests", "seed", "trace",
+    "trace_rate",
+)
+
+
 def _serve_model(args):
     """The calibrated quantized model + test set the fleet will serve."""
     from repro.datasets.loaders import batch_iterator
@@ -485,53 +479,50 @@ def _serve_model(args):
 
     model_name, workload = WORKLOADS[args.model]
     scale = EXPERIMENT_SCALES[args.scale]
+    qconfig = QConfig.from_notation(args.notation)
     train_spec, eval_spec = _specs(args)
     if args.skip_training:
         train, test = dataset_for(workload, scale)
         model = model_for(model_name, workload, scale, seed=1 + args.seed)
-        convert_to_quantized(model, QConfig.from_notation(args.notation))
+        convert_to_quantized(model, qconfig)
         calibrate_model(model, batch_iterator(train, scale.batch_size, shuffle=False),
                         max_batches=4)
     else:
-        model, test = train_method(
-            "qavat",
-            model_name,
-            workload,
-            QConfig.from_notation(args.notation),
-            train_spec,
-            scale,
-            MethodConfig(seed=args.seed),
-        )
+        model, test = train_method("qavat", model_name, workload, qconfig, train_spec,
+                                   scale, MethodConfig(seed=args.seed))
     model.eval()
     return model, test, eval_spec
 
 
-def _fleet_spec(args, require: bool = False):
+def _fleet_spec(args):
     """The mixed-technology fleet spec, or None for a homogeneous fleet."""
     from repro.serve import FleetSpec
 
-    text = args.fleet
-    if text is None and require:
-        text = "rram:2,flash:2"
-    if text is None:
+    if args.fleet is None:
         return None
     try:
-        return FleetSpec.parse(text, scenario=args.scenario)
+        return FleetSpec.parse(args.fleet, scenario=args.scenario)
     except (KeyError, ValueError) as error:
         raise SystemExit(
-            f"error: invalid --fleet {text!r}: {error} "
+            f"error: invalid --fleet {args.fleet!r}: {error} "
             "(expected e.g. 'rram:2,flash:2' or 'rram:4@0.5')"
         ) from None
 
 
-def _cli_trace(args, default: str = "uniform"):
+def _cli_trace(args):
+    """The ``--trace`` arrival trace, or None to submit everything at tick 0.
+
+    A trace's schedule is a pure function of its own parameters, so one
+    trace object feeds every session of a bench, reruns included.
+    """
     from repro.serve import BurstyTrace, PoissonTrace, UniformTrace
 
-    name = args.trace or default
+    if args.trace is None:
+        return None
     rate = args.trace_rate
-    if name == "uniform":
+    if args.trace == "uniform":
         return UniformTrace(rate=rate)
-    if name == "poisson":
+    if args.trace == "poisson":
         return PoissonTrace(rate=rate, seed=args.seed)
     # Same mean rate as the others: hot quarter at 4x, quiet rest near zero.
     return BurstyTrace(
@@ -539,75 +530,141 @@ def _cli_trace(args, default: str = "uniform"):
     )
 
 
-def _lifecycle_config(args):
-    from repro.serve import LifecycleConfig
+@dataclass
+class _Session:
+    """One finished serving session: its engine, what it served, how fast."""
 
-    return LifecycleConfig(
-        drift=args.drift_kind,
-        nu=args.drift_nu,
-        dt=args.dt,
-        probe_every=args.probe_every,
-        probe_k=args.probe_k,
-        accuracy_floor=args.accuracy_floor,
-        seed=args.seed,
+    policy: str
+    engine: InferenceEngine
+    injector: FaultInjector | None
+    outputs: dict[str, np.ndarray]
+    ids: list[str]
+    labels: np.ndarray
+    seconds: float
+
+    @property
+    def served(self) -> list[str]:
+        """The served request ids, in submission order."""
+        return [rid for rid in self.ids if rid in self.outputs]
+
+    @property
+    def recalibrations(self) -> int:
+        """How many chips the session's lifecycle recalibrated."""
+        return len(self.engine.telemetry.recalibration_events)
+
+    def accuracy(self, tail: int | None = None) -> float:
+        """Top-1 accuracy of the served requests among the last ``tail``
+        submitted (all of them by default); 0.0 when none was served."""
+        ids, labels = (self.ids[-tail:], self.labels[-tail:]) if tail else (self.ids, self.labels)
+        hits = [
+            int(self.outputs[rid].argmax() == label)
+            for rid, label in zip(ids, labels)
+            if rid in self.outputs
+        ]
+        return sum(hits) / len(hits) if hits else 0.0
+
+    def entry(self) -> dict:
+        """The fields every bench records for a session."""
+        return {
+            "policy": self.policy,
+            "accuracy": self.accuracy(),
+            "telemetry": self.engine.telemetry.report(),
+        }
+
+
+def _serve(args, model, test, eval_spec, policy: str, mode: str, trace) -> _Session:
+    """Serve ``--requests`` test images through a fresh engine under ``policy``.
+
+    ``mode`` is what rides along: ``"sequential"`` is the per-request
+    reference (batches of one, no wait, no fusion, since fusing
+    single-sample batches would measure a different baseline);
+    ``"batched"`` is the configured engine alone; ``"drift"`` ages, probes
+    and recalibrates the fleet under a chip lifecycle; ``"chaos"`` installs
+    the full fault plan; ``"slo"`` batches continuously under the plan's
+    per-dispatch hazards alone (if a rate is set), which supply the retry
+    pressure that makes a deadline losable.  Only the request loop is
+    timed; ``trace=None`` submits every request at tick 0.
+    """
+    from repro.serve import (
+        ChipLifecycle, FaultInjector, FaultPlan, InferenceEngine, LifecycleConfig, ServeConfig,
     )
 
-
-def _serving_workload(args, test):
-    reps = 1 + (args.requests - 1) // len(test)
-    workload = np.concatenate([test.images] * reps)[: args.requests]
-    labels = np.concatenate([test.labels] * reps)[: args.requests]
-    ids = [f"r{i:06d}" for i in range(args.requests)]
-    return workload, labels, ids
-
-
-def _drift_serving_run(model, test, eval_spec, args, policy: str) -> dict:
-    """One drifting serving session under ``policy``; returns run artifacts.
-
-    Every run shares the engine/lifecycle seeds, so the fleet, the drift
-    paths, and the probe/recalibration schedule are identical across
-    policies — only dispatch (and therefore served accuracy) differs.
-    """
-    from repro.serve import ChipLifecycle, InferenceEngine, ReplayTrace, ServeConfig
-
+    sequential = mode == "sequential"
     config = ServeConfig(
-        max_batch=args.max_batch,
-        max_wait=args.max_wait,
+        max_batch=1 if sequential else args.max_batch,
+        max_wait=0 if sequential else args.max_wait,
         policy=policy,
         seed=args.seed,
         self_tuning=_self_tuning(args),
         backend=args.backend,
-        fused=args.fused,
+        continuous=mode == "slo",
+        fused=args.fused and not sequential,
         max_resident_chips=args.max_resident_chips,
     )
     engine = InferenceEngine(
-        model, eval_spec, args.num_chips, config,
-        fleet_spec=_fleet_spec(args, require=True),
+        model, eval_spec, args.num_chips, config, fleet_spec=_fleet_spec(args)
     )
-    lifecycle = ChipLifecycle(engine, test, _lifecycle_config(args))
-    lifecycle.install()
-    workload, labels, ids = _serving_workload(args, test)
-    # Freeze the arrival schedule into a replay trace: the lifetime bench
-    # is defined over a pinned request timeline, so every policy (and
-    # every rerun) replays the exact same arrivals.
-    trace = ReplayTrace.from_trace(_cli_trace(args), args.requests)
+    lifecycle = injector = None
+    if mode == "drift":  # the lifecycle programs and probes every chip at install
+        lifecycle = ChipLifecycle(engine, test, LifecycleConfig(
+            drift=args.drift_kind, nu=args.drift_nu, dt=args.dt,
+            probe_every=args.probe_every, probe_k=args.probe_k,
+            accuracy_floor=args.accuracy_floor, seed=args.seed,
+        ))
+        lifecycle.install()
+    else:
+        engine.warm_up()
+        if policy in QUALITY_POLICIES:
+            engine.probe_fleet(test, k=args.probe_k)
+    chaos = mode == "chaos"
+    if chaos or (mode == "slo" and (args.transient_rate > 0.0 or args.latency_rate > 0.0)):
+        injector = FaultInjector(engine, FaultPlan(
+            transient_rate=args.transient_rate, latency_rate=args.latency_rate,
+            deaths=args.deaths if chaos else 0,
+            stuck_chips=args.stuck_chips if chaos else 0,
+            horizon=args.fault_horizon, seed=args.fault_seed,
+        ))
+        injector.install()
+    reps = 1 + (args.requests - 1) // len(test)
+    workload = np.concatenate([test.images] * reps)[: args.requests]
+    labels = np.concatenate([test.labels] * reps)[: args.requests]
+    ids = [f"r{i:06d}" for i in range(args.requests)]
     started = time.perf_counter()
-    outputs = engine.run_trace(workload, trace, ids=ids, lifecycle=lifecycle)
+    if trace is None:
+        outputs = engine.run(workload, ids=ids)
+    else:
+        outputs = engine.run_trace(workload, trace, ids=ids, lifecycle=lifecycle)
     seconds = time.perf_counter() - started
-    logits = np.stack([outputs[rid] for rid in ids])
-    correct = logits.argmax(axis=1) == labels
-    # "End of trace" = the second half of the request stream: long enough to
-    # span several batches and probe rounds, late enough that drift has bitten.
-    tail = max(1, args.requests // 2)
-    return {
-        "policy": policy,
-        "engine": engine,
-        "lifecycle": lifecycle,
-        "accuracy": float(correct.mean()),
-        "end_accuracy": float(correct[-tail:].mean()),
-        "recalibrations": len(lifecycle.events),
-        "seconds": seconds,
-    }
+    return _Session(policy, engine, injector, outputs, ids, labels, seconds)
+
+
+def _reproducible(first: _Session, rerun: _Session) -> bool:
+    """Whether ``rerun`` told ``first``'s whole observable story bit for bit.
+
+    Compares the telemetry digest, the fault schedule, retry and hedge
+    counts, SLO met and violated counts and their full series, the
+    dead-letter ids, the served ids and every served output row.
+    """
+    a, b = first.engine.telemetry, rerun.engine.telemetry
+    return (
+        a.digest() == b.digest()
+        and getattr(first.injector, "schedule", None)
+        == getattr(rerun.injector, "schedule", None)
+        and (a.retries, a.hedges, a.slo_met, a.slo_violations, a.slo_series)
+        == (b.retries, b.hedges, b.slo_met, b.slo_violations, b.slo_series)
+        and set(first.engine.dead_letters) == set(rerun.engine.dead_letters)
+        and first.served == rerun.served
+        and all(
+            np.array_equal(first.outputs[rid], rerun.outputs[rid])
+            for rid in first.served
+        )
+    )
+
+
+def _save(args, name: str, record: dict) -> None:
+    header = {key: getattr(args, key) for key in RECORD_HEADER}
+    path = ResultStore(args.results_dir).save(name, {**header, **record})
+    print(f"\nsaved: {path}")
 
 
 def _print_quality_timeline(engine, max_chips: int = 16) -> None:
@@ -621,73 +678,35 @@ def _print_quality_timeline(engine, max_chips: int = 16) -> None:
     if not series:
         return
     chips = sorted(series)
+    # Last probe at a time wins: a recalibration probe at the same
+    # timestamp overwrites the triggering (degraded) probe.
+    latest = {chip: {t: 100 * q for t, q in series[chip]} for chip in chips}
+    times = sorted({t for chip in chips for t in latest[chip]})
+    events = engine.telemetry.recalibration_events
     if len(chips) > max_chips:
-        times = sorted({time for chip in chips for time, _ in series[chip]})
         rows = []
-        for probe_time in times:
-            values = [
-                100 * qualities[-1]
-                for chip in chips
-                if (qualities := [q for t, q in series[chip] if t == probe_time])
-            ]
-            rows.append([
-                f"{probe_time:.0f}", len(values),
-                f"{np.percentile(values, 10):.1f}", f"{np.median(values):.1f}",
-                f"{np.percentile(values, 90):.1f}", f"{min(values):.1f}",
-            ])
+        for t in times:
+            values = [latest[chip][t] for chip in chips if t in latest[chip]]
+            quantiles = (np.percentile(values, 10), np.median(values),
+                         np.percentile(values, 90), min(values))
+            rows.append([f"{t:.0f}", len(values), *(f"{v:.1f}" for v in quantiles)])
         print(format_table(
             ["t", "probed", "p10", "median", "p90", "min"], rows,
             title=f"probed accuracy over time (%, fleet of {len(chips)})",
         ))
-        events = engine.telemetry.recalibration_events
         if events:
             print(f"recalibration events: {len(events)}")
         return
-    times = sorted({time for chip in chips for time, _ in series[chip]})
-    rows = []
-    for probe_time in times:
-        row = [f"{probe_time:.0f}"]
-        for chip in chips:
-            # Last probe at this time wins: a recalibration probe at the same
-            # timestamp overwrites the triggering (degraded) probe.
-            values = [q for t, q in series[chip] if t == probe_time]
-            row.append(f"{100 * values[-1]:.1f}" if values else "-")
-        rows.append(row)
+    rows = [
+        [f"{t:.0f}", *(f"{latest[chip][t]:.1f}" if t in latest[chip] else "-"
+                       for chip in chips)]
+        for t in times
+    ]
     print(format_table(["t"] + chips, rows, title="probed accuracy over time (%)"))
-    events = engine.telemetry.recalibration_events
     if events:
         print("recalibration events: " + "  ".join(
             f"t={event_time:.0f}:{chip}" for event_time, chip in events
         ))
-
-
-def _drift_record(args, runs: list[dict]) -> dict:
-    return {
-        "model": args.model,
-        "notation": args.notation,
-        "backend": args.backend,
-        "fleet": args.fleet or "rram:2,flash:2",
-        "trace": args.trace or "uniform",
-        "trace_rate": args.trace_rate,
-        "drift_kind": args.drift_kind,
-        "drift_nu": args.drift_nu,
-        "probe_every": args.probe_every,
-        "accuracy_floor": args.accuracy_floor,
-        "requests": args.requests,
-        "seed": args.seed,
-        "policies": [
-            {
-                "policy": run["policy"],
-                "accuracy": run["accuracy"],
-                "end_accuracy": run["end_accuracy"],
-                "recalibrations": run["recalibrations"],
-                "seconds": run["seconds"],
-                "telemetry": run["engine"].telemetry.report(),
-                "cache": run["engine"].cache.stats.as_dict(),
-            }
-            for run in runs
-        ],
-    }
 
 
 def _print_span_breakdown(engine, title: str = "per-stage span breakdown") -> None:
@@ -707,216 +726,160 @@ def _print_span_breakdown(engine, title: str = "per-stage span breakdown") -> No
     ))
 
 
-def _cmd_serve_bench_drift(args) -> int:
+def _end_accuracy(args, run: _Session) -> float:
+    # "End of trace" = the second half of the request stream: long enough to
+    # span several batches and probe rounds, late enough that drift has bitten.
+    return run.accuracy(tail=max(1, args.requests // 2))
+
+
+def _drift_race(args, policies) -> list[_Session]:
+    """One drifting session per policy, over the same fleet and arrivals.
+
+    ``serve-bench --drift`` and ``lifetime-bench`` both run this race.
+    The sessions share the engine and lifecycle seeds, so the fleet, the
+    drift paths and the probe schedule are the same for every policy:
+    only dispatch, and therefore served accuracy, differs.
+    """
+    args.fleet = args.fleet or "rram:2,flash:2"
+    args.trace = args.trace or "uniform"
     model, test, eval_spec = _serve_model(args)
-    policies = list(dict.fromkeys([args.policy, "drift-aware", "round-robin"]))
-    runs = [_drift_serving_run(model, test, eval_spec, args, p) for p in policies]
+    trace = _cli_trace(args)
+    return [_serve(args, model, test, eval_spec, p, "drift", trace) for p in policies]
+
+
+def _finish_drift_race(args, runs: list[_Session], name: str) -> int:
+    """Print each run's digest and probe counts; save the race's record."""
+    for run in runs:
+        telemetry = run.engine.telemetry
+        print(f"telemetry digest: {telemetry.digest()} ({run.policy})")
+        print(f"probes: {telemetry.probes} run, {telemetry.probes_reused} reused, "
+              f"{telemetry.probes_deferred} deferred, "
+              f"{run.recalibrations} recalibrations ({run.policy})")
+    _save(args, name, {
+        "drift_kind": args.drift_kind,
+        "drift_nu": args.drift_nu,
+        "probe_every": args.probe_every,
+        "accuracy_floor": args.accuracy_floor,
+        "policies": [
+            {**run.entry(), "end_accuracy": _end_accuracy(args, run),
+             "recalibrations": run.recalibrations, "seconds": run.seconds,
+             "cache": run.engine.cache.stats.as_dict()}
+            for run in runs
+        ],
+    })
+    return 0
+
+
+def _cmd_serve_bench_drift(args) -> int:
+    runs = _drift_race(args, dict.fromkeys([args.policy, "drift-aware", "round-robin"]))
     rows = [
-        [run["policy"], f"{100 * run['accuracy']:.1f}",
-         f"{100 * run['end_accuracy']:.1f}", run["recalibrations"],
-         f"{run['engine'].telemetry.queue_ticks.max:.0f}",
-         f"{run['engine'].telemetry.total_energy_uj:.1f}",
-         f"{args.requests / run['seconds']:.1f}"]
+        [run.policy, f"{100 * run.accuracy():.1f}",
+         f"{100 * _end_accuracy(args, run):.1f}", run.recalibrations,
+         f"{run.engine.telemetry.queue_ticks.max:.0f}",
+         f"{run.engine.telemetry.total_energy_uj:.1f}",
+         f"{args.requests / run.seconds:.1f}"]
         for run in runs
     ]
-    print(
-        format_table(
-            ["policy", "accuracy %", "end-of-trace %", "recals", "queue max",
-             "energy uJ", "req/s"],
-            rows,
-            title=(
-                f"serve-bench --drift {args.model}/{args.notation} "
-                f"backend={args.backend} fleet={args.fleet or 'rram:2,flash:2'} "
-                f"trace={args.trace or 'uniform'} nu={args.drift_nu}"
-            ),
-        )
-    )
+    print(format_table(
+        ["policy", "accuracy %", "end-of-trace %", "recals", "queue max",
+         "energy uJ", "req/s"],
+        rows,
+        title=(
+            f"serve-bench --drift {args.model}/{args.notation} "
+            f"backend={args.backend} fleet={args.fleet} "
+            f"trace={args.trace} nu={args.drift_nu}"
+        ),
+    ))
     print()
-    _print_quality_timeline(runs[0]["engine"])
-    print(f"\nmapping cache: {runs[0]['engine'].cache.stats.as_dict()}")
-    baseline = next(run for run in runs if run["policy"] == "round-robin")
+    _print_quality_timeline(runs[0].engine)
+    print(f"\nmapping cache: {runs[0].engine.cache.stats.as_dict()}")
+    baseline = next(run for run in runs if run.policy == "round-robin")
+    base = _end_accuracy(args, baseline)
     for run in runs:
-        if run is baseline:
-            continue
-        lead = run["end_accuracy"] - baseline["end_accuracy"]
-        print(
-            f"{run['policy']} vs round-robin end-of-trace accuracy: "
-            f"{100 * run['end_accuracy']:.1f}% vs "
-            f"{100 * baseline['end_accuracy']:.1f}% ({100 * lead:+.1f} pts)"
-        )
-    for run in runs:
-        print(f"telemetry digest: {run['engine'].telemetry.digest()} ({run['policy']})")
-    store = ResultStore(args.results_dir)
-    path = store.save(f"serve-bench-drift-{args.model}", _drift_record(args, runs))
-    print(f"\nsaved: {path}")
-    return 0
+        if run is not baseline:
+            end = _end_accuracy(args, run)
+            print(f"{run.policy} vs round-robin end-of-trace accuracy: "
+                  f"{100 * end:.1f}% vs {100 * base:.1f}% ({100 * (end - base):+.1f} pts)")
+    return _finish_drift_race(args, runs, f"serve-bench-drift-{args.model}")
 
 
 def _cmd_lifetime_bench(args) -> int:
-    model, test, eval_spec = _serve_model(args)
-    runs = [
-        _drift_serving_run(model, test, eval_spec, args, policy)
-        for policy in args.policies
-    ]
+    runs = _drift_race(args, args.policies)
     rows = [
-        [run["policy"], f"{100 * run['accuracy']:.1f}",
-         f"{100 * run['end_accuracy']:.1f}", run["recalibrations"],
-         f"{run['engine'].telemetry.queue_ticks.mean:.2f}",
-         f"{run['engine'].telemetry.queue_ticks.max:.0f}",
-         f"{run['engine'].telemetry.total_energy_uj:.1f}"]
+        [run.policy, f"{100 * run.accuracy():.1f}",
+         f"{100 * _end_accuracy(args, run):.1f}", run.recalibrations,
+         f"{run.engine.telemetry.queue_ticks.mean:.2f}",
+         f"{run.engine.telemetry.queue_ticks.max:.0f}",
+         f"{run.engine.telemetry.total_energy_uj:.1f}"]
         for run in runs
     ]
-    print(
-        format_table(
-            ["policy", "accuracy %", "end-of-trace %", "recals",
-             "queue mean", "queue max", "energy uJ"],
-            rows,
-            title=(
-                f"lifetime-bench {args.model}/{args.notation} "
-                f"backend={args.backend} fleet={args.fleet or 'rram:2,flash:2'} "
-                f"trace={args.trace or 'uniform'} {args.drift_kind} drift"
-            ),
-        )
-    )
+    print(format_table(
+        ["policy", "accuracy %", "end-of-trace %", "recals",
+         "queue mean", "queue max", "energy uJ"],
+        rows,
+        title=(
+            f"lifetime-bench {args.model}/{args.notation} "
+            f"backend={args.backend} fleet={args.fleet} "
+            f"trace={args.trace} {args.drift_kind} drift"
+        ),
+    ))
     print()
-    _print_quality_timeline(runs[0]["engine"])
-    best = max(runs, key=lambda run: run["end_accuracy"])
-    print(f"\nbest end-of-trace policy: {best['policy']} "
-          f"({100 * best['end_accuracy']:.1f}%)")
-    for run in runs:
-        telemetry = run["engine"].telemetry
-        print(f"telemetry digest: {telemetry.digest()} ({run['policy']})")
-        print(
-            f"probes: {telemetry.probes} run, {telemetry.probes_reused} reused, "
-            f"{telemetry.probes_deferred} deferred, "
-            f"{run['recalibrations']} recalibrations ({run['policy']})"
-        )
-    store = ResultStore(args.results_dir)
-    path = store.save(f"lifetime-bench-{args.model}", _drift_record(args, runs))
-    print(f"saved: {path}")
-    return 0
+    _print_quality_timeline(runs[0].engine)
+    best = max(runs, key=lambda run: _end_accuracy(args, run))
+    print(f"\nbest end-of-trace policy: {best.policy} "
+          f"({100 * _end_accuracy(args, best):.1f}%)")
+    return _finish_drift_race(args, runs, f"lifetime-bench-{args.model}")
 
 
-def _chaos_serving_run(model, test, eval_spec, args, trace) -> dict:
-    """One chaos serving session; returns everything determinism compares."""
-    from repro.serve import FaultInjector, FaultPlan, InferenceEngine, ServeConfig
-
-    config = ServeConfig(
-        max_batch=args.max_batch,
-        max_wait=args.max_wait,
-        policy=args.policy,
-        seed=args.seed,
-        self_tuning=_self_tuning(args),
-        backend=args.backend,
-        fused=args.fused,
-        max_resident_chips=args.max_resident_chips,
-    )
-    engine = InferenceEngine(
-        model, eval_spec, args.num_chips, config, fleet_spec=_fleet_spec(args)
-    )
-    engine.warm_up()
-    plan = FaultPlan(
-        transient_rate=args.transient_rate,
-        latency_rate=args.latency_rate,
-        deaths=args.deaths,
-        stuck_chips=args.stuck_chips,
-        horizon=args.fault_horizon,
-        seed=args.fault_seed,
-    )
-    injector = FaultInjector(engine, plan)
-    injector.install()
-    workload, labels, ids = _serving_workload(args, test)
-    started = time.perf_counter()
-    outputs = engine.run_trace(workload, trace, ids=ids)
-    seconds = time.perf_counter() - started
-    served = [rid for rid in ids if rid in outputs]
-    correct = sum(
-        int(outputs[rid].argmax() == label)
-        for rid, label in zip(ids, labels)
-        if rid in outputs
-    )
-    return {
-        "engine": engine,
-        "injector": injector,
-        "outputs": outputs,
-        "ids": ids,
-        "served": served,
-        "accuracy": correct / len(served) if served else 0.0,
-        "seconds": seconds,
-    }
-
-
-def _cmd_serve_bench_chaos(args) -> int:
+def _cmd_serve_bench_chaos(args, model, test, eval_spec, trace) -> int:
     """Goodput-under-faults bench: chaos schedule in, dead letters out.
 
-    The session runs *twice* from the same (engine seed, fault seed, trace)
-    and the whole observable story — fault schedule, retry/hedge counts,
-    dead-letter set, and every served logit row — must be bit-identical;
-    any divergence (or goodput below ``--goodput-floor``) is a non-zero
-    exit, so CI can hold the line.
+    The session runs *twice* from the same (engine seed, fault seed,
+    trace) and the rerun must reproduce it bit for bit
+    (:func:`_reproducible`); any divergence, or goodput below
+    ``--goodput-floor``, is a non-zero exit, so CI can hold the line.
     """
-    from repro.serve import ReplayTrace
-
-    model, test, eval_spec = _serve_model(args)
-    # Pin the arrival schedule so both runs (and any rerun of this command)
-    # replay the identical trace regardless of trace-internal RNG state.
-    trace = ReplayTrace.from_trace(_cli_trace(args), args.requests)
-    first = _chaos_serving_run(model, test, eval_spec, args, trace)
-    second = _chaos_serving_run(model, test, eval_spec, args, trace)
-
-    engine, injector, ids = first["engine"], first["injector"], first["ids"]
-    telemetry = engine.telemetry
-    reproducible = (
-        telemetry.digest() == second["engine"].telemetry.digest()
-        and injector.schedule == second["injector"].schedule
-        and telemetry.retries == second["engine"].telemetry.retries
-        and telemetry.hedges == second["engine"].telemetry.hedges
-        and set(engine.dead_letters) == set(second["engine"].dead_letters)
-        and first["served"] == second["served"]
-        and all(
-            np.array_equal(first["outputs"][rid], second["outputs"][rid])
-            for rid in first["served"]
-        )
+    first, rerun = (
+        _serve(args, model, test, eval_spec, args.policy, "chaos", trace)
+        for _ in range(2)
     )
+    reproducible = _reproducible(first, rerun)
+    engine, schedule = first.engine, first.injector.schedule
+    telemetry = engine.telemetry
     goodput = telemetry.goodput
     health_counts: dict[str, int] = {}
     for chip in engine.fleet:
         health_counts[chip.health] = health_counts.get(chip.health, 0) + 1
     rows = [
         ["requests", args.requests],
-        ["served", len(first["served"])],
+        ["served", len(first.served)],
         ["dead-lettered", len(engine.dead_letters)],
         ["goodput", f"{100 * goodput:.2f}%"],
-        ["served accuracy", f"{100 * first['accuracy']:.1f}%"],
+        ["served accuracy", f"{100 * first.accuracy():.1f}%"],
         ["faults fired", telemetry.faults],
         ["retries", telemetry.retries],
         ["hedges", telemetry.hedges],
         ["replacements", len(engine.retired)],
         ["fleet health", ", ".join(f"{k}:{v}" for k, v in sorted(health_counts.items()))],
         ["reproducible", "yes" if reproducible else "NO"],
-        ["req/s", f"{args.requests / first['seconds']:.1f}"],
+        ["req/s", f"{args.requests / first.seconds:.1f}"],
     ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"serve-bench --chaos {args.model}/{args.notation} "
-                f"{args.num_chips} chips, backend={args.backend}, "
-                f"deaths={args.deaths} stuck={args.stuck_chips} "
-                f"transient={args.transient_rate} fault-seed={args.fault_seed}"
-            ),
-        )
-    )
+    print(format_table(
+        ["metric", "value"],
+        rows,
+        title=(
+            f"serve-bench --chaos {args.model}/{args.notation} "
+            f"{args.num_chips} chips, backend={args.backend}, "
+            f"deaths={args.deaths} stuck={args.stuck_chips} "
+            f"transient={args.transient_rate} fault-seed={args.fault_seed}"
+        ),
+    ))
     print("\nfault schedule: " + (
-        "  ".join(
-            f"t={event.tick}:{event.kind}@{event.chip_id}"
-            for event in injector.schedule
-        ) or "(empty)"
+        "  ".join(f"t={e.tick}:{e.kind}@{e.chip_id}" for e in schedule) or "(empty)"
     ))
     if engine.dead_letters:
         print("dead letters:")
-        for letter in sorted(engine.dead_letters.values(), key=lambda l: l.id):
+        for letter in sorted(engine.dead_letters.values(), key=lambda dead: dead.id):
             print(
                 f"  {letter.id}: {letter.reason} after {letter.attempts} "
                 f"attempts (cause: {letter.cause}, tick {letter.tick})"
@@ -924,39 +887,22 @@ def _cmd_serve_bench_chaos(args) -> int:
     print("\nchaos engine telemetry:")
     print(telemetry.format())
     print(f"telemetry digest: {telemetry.digest()}")
-    store = ResultStore(args.results_dir)
-    path = store.save(
-        f"serve-bench-chaos-{args.model}",
-        {
-            "model": args.model,
-            "notation": args.notation,
-            "backend": args.backend,
-            "policy": args.policy,
-            "num_chips": args.num_chips,
-            "fleet": args.fleet,
-            "requests": args.requests,
-            "seed": args.seed,
-            "fault_seed": args.fault_seed,
-            "plan": {
-                "transient_rate": args.transient_rate,
-                "latency_rate": args.latency_rate,
-                "deaths": args.deaths,
-                "stuck_chips": args.stuck_chips,
-                "horizon": args.fault_horizon,
-            },
-            "goodput": goodput,
-            "served": len(first["served"]),
-            "dead_letters": sorted(engine.dead_letters),
-            "accuracy": first["accuracy"],
-            "reproducible": reproducible,
-            "schedule": [
-                {"tick": e.tick, "kind": e.kind, "chip_id": e.chip_id}
-                for e in injector.schedule
-            ],
-            "telemetry": telemetry.report(),
+    _save(args, f"serve-bench-chaos-{args.model}", {
+        **first.entry(),
+        "fault_seed": args.fault_seed,
+        "plan": {
+            "transient_rate": args.transient_rate, "latency_rate": args.latency_rate,
+            "deaths": args.deaths, "stuck_chips": args.stuck_chips,
+            "horizon": args.fault_horizon,
         },
-    )
-    print(f"\nsaved: {path}")
+        "goodput": goodput,
+        "served": len(first.served),
+        "dead_letters": sorted(engine.dead_letters),
+        "reproducible": reproducible,
+        "schedule": [
+            {"tick": e.tick, "kind": e.kind, "chip_id": e.chip_id} for e in schedule
+        ],
+    })
     if not reproducible:
         print("ERROR: chaos run is not bit-reproducible across reruns")
         return 1
@@ -969,294 +915,171 @@ def _cmd_serve_bench_chaos(args) -> int:
     return 0
 
 
-def _slo_serving_run(model, test, eval_spec, args, trace, policy: str) -> dict:
-    """One deadline-bearing serving session under ``policy``.
-
-    The engine runs in continuous-batching mode (the gateway's admission
-    mode) with every request carrying an ``arrival + --slo-ticks``
-    deadline; per-dispatch transient/latency hazards (``--transient-rate``
-    / ``--latency-rate``) supply the retry-parking pressure that makes
-    deadlines losable at all — scheduled deaths/stuck-at events stay with
-    ``--chaos``.
-    """
-    from repro.serve import FaultInjector, FaultPlan, InferenceEngine, ServeConfig
-
-    config = ServeConfig(
-        max_batch=args.max_batch,
-        max_wait=args.max_wait,
-        policy=policy,
-        seed=args.seed,
-        self_tuning=_self_tuning(args),
-        backend=args.backend,
-        continuous=True,
-        fused=args.fused,
-        max_resident_chips=args.max_resident_chips,
-    )
-    engine = InferenceEngine(
-        model, eval_spec, args.num_chips, config, fleet_spec=_fleet_spec(args)
-    )
-    engine.warm_up()
-    if policy in ("accuracy-weighted", "drift-aware", "energy-aware", "latency-aware"):
-        engine.probe_fleet(test, k=args.probe_k)
-    if args.transient_rate > 0.0 or args.latency_rate > 0.0:
-        plan = FaultPlan(
-            transient_rate=args.transient_rate,
-            latency_rate=args.latency_rate,
-            deaths=0,
-            stuck_chips=0,
-            seed=args.fault_seed,
-        )
-        FaultInjector(engine, plan).install()
-    workload, labels, ids = _serving_workload(args, test)
-    started = time.perf_counter()
-    outputs = engine.run_trace(workload, trace, ids=ids)
-    seconds = time.perf_counter() - started
-    served = [rid for rid in ids if rid in outputs]
-    correct = sum(
-        int(outputs[rid].argmax() == label)
-        for rid, label in zip(ids, labels)
-        if rid in outputs
-    )
-    telemetry = engine.telemetry
+def _violation_fraction(telemetry) -> float:
     finished = telemetry.slo_met + telemetry.slo_violations
-    return {
-        "policy": policy,
-        "engine": engine,
-        "outputs": outputs,
-        "ids": ids,
-        "served": served,
-        "accuracy": correct / len(served) if served else 0.0,
-        "attainment": telemetry.slo_attainment,
-        "violation_fraction": (
-            telemetry.slo_violations / finished if finished else 0.0
-        ),
-        "seconds": seconds,
-    }
+    return telemetry.slo_violations / finished if finished else 0.0
 
 
-def _cmd_serve_bench_slo(args) -> int:
+def _cmd_serve_bench_slo(args, model, test, eval_spec, trace) -> int:
     """Deadline/SLO bench: goodput race plus a reproducibility gate.
 
-    Every request carries an ``arrival + --slo-ticks`` deadline (frozen
-    into a :class:`~repro.serve.trace.ReplayTrace`, so reruns replay
-    literally the same arrivals and deadlines).  ``--policy``,
-    ``latency-aware``, and ``round-robin`` race on SLO attainment; the
-    best policy then runs a second time and its whole observable story —
-    served set, logits, deadline outcomes, dead letters — must be
-    bit-identical.  Divergence, or a violation fraction above
-    ``--slo-ceiling``, is a non-zero exit.
+    Every request carries an ``arrival + --slo-ticks`` deadline.
+    ``--policy``, ``latency-aware``, and ``round-robin`` race on SLO
+    attainment; the best policy then runs a second time and must
+    reproduce its first run bit for bit (:func:`_reproducible`).
+    Divergence, or a violation fraction above ``--slo-ceiling``, is a
+    non-zero exit.
     """
-    from repro.serve import DeadlineTrace, ReplayTrace
+    from repro.serve import DeadlineTrace
 
-    model, test, eval_spec = _serve_model(args)
-    trace = ReplayTrace.from_trace(
-        DeadlineTrace(_cli_trace(args), slo_ticks=args.slo_ticks), args.requests
-    )
-    policies = list(dict.fromkeys([args.policy, "latency-aware", "round-robin"]))
+    trace = DeadlineTrace(trace, slo_ticks=args.slo_ticks)
     runs = [
-        _slo_serving_run(model, test, eval_spec, args, trace, policy)
-        for policy in policies
+        _serve(args, model, test, eval_spec, policy, "slo", trace)
+        for policy in dict.fromkeys([args.policy, "latency-aware", "round-robin"])
     ]
-    best = max(runs, key=lambda run: (run["attainment"], run["policy"] == args.policy))
-    rerun = _slo_serving_run(model, test, eval_spec, args, trace, best["policy"])
-    best_t, rerun_t = best["engine"].telemetry, rerun["engine"].telemetry
-    reproducible = (
-        best_t.digest() == rerun_t.digest()
-        and best["served"] == rerun["served"]
-        and best_t.slo_met == rerun_t.slo_met
-        and best_t.slo_violations == rerun_t.slo_violations
-        and best_t.slo_series == rerun_t.slo_series
-        and set(best["engine"].dead_letters) == set(rerun["engine"].dead_letters)
-        and all(
-            np.array_equal(best["outputs"][rid], rerun["outputs"][rid])
-            for rid in best["served"]
-        )
+    best = max(runs, key=lambda run: (
+        run.engine.telemetry.slo_attainment, run.policy == args.policy
+    ))
+    reproducible = _reproducible(
+        best, _serve(args, model, test, eval_spec, best.policy, "slo", trace)
     )
-    rows = [
-        [run["policy"], len(run["served"]),
-         len(run["engine"].dead_letters),
-         run["engine"].telemetry.slo_met,
-         run["engine"].telemetry.slo_violations,
-         f"{100 * run['attainment']:.1f}",
-         f"{run['engine'].telemetry.deadline_headroom.quantile(0.50):.1f}",
-         f"{100 * run['accuracy']:.1f}",
-         f"{args.requests / run['seconds']:.1f}"]
-        for run in runs
-    ]
+    rows = []
+    for run in runs:
+        telemetry = run.engine.telemetry
+        rows.append([
+            run.policy, len(run.served), len(run.engine.dead_letters),
+            telemetry.slo_met, telemetry.slo_violations,
+            f"{100 * telemetry.slo_attainment:.1f}",
+            f"{telemetry.deadline_headroom.quantile(0.50):.1f}",
+            f"{100 * run.accuracy():.1f}", f"{args.requests / run.seconds:.1f}",
+        ])
+    print(format_table(
+        ["policy", "served", "dead-let", "slo met", "violated",
+         "attainment %", "headroom p50", "accuracy %", "req/s"],
+        rows,
+        title=(
+            f"serve-bench --slo {args.model}/{args.notation} "
+            f"{args.num_chips} chips, backend={args.backend}, "
+            f"slo={args.slo_ticks} ticks, trace={args.trace}, "
+            f"transient={args.transient_rate}"
+        ),
+    ))
+    telemetry = best.engine.telemetry
+    violations = _violation_fraction(telemetry)
     print(
-        format_table(
-            ["policy", "served", "dead-let", "slo met", "violated",
-             "attainment %", "headroom p50", "accuracy %", "req/s"],
-            rows,
-            title=(
-                f"serve-bench --slo {args.model}/{args.notation} "
-                f"{args.num_chips} chips, backend={args.backend}, "
-                f"slo={args.slo_ticks} ticks, trace={args.trace or 'uniform'}, "
-                f"transient={args.transient_rate}"
-            ),
-        )
-    )
-    print(
-        f"\nbest policy: {best['policy']} "
-        f"(attainment {100 * best['attainment']:.1f}%, "
-        f"violations {100 * best['violation_fraction']:.1f}% "
+        f"\nbest policy: {best.policy} "
+        f"(attainment {100 * telemetry.slo_attainment:.1f}%, "
+        f"violations {100 * violations:.1f}% "
         f"vs ceiling {100 * args.slo_ceiling:.1f}%)  "
         f"reproducible: {'yes' if reproducible else 'NO'}"
     )
     print("\nbest-policy telemetry:")
-    print(best_t.format())
+    print(telemetry.format())
     for run in runs:
-        print(f"telemetry digest: {run['engine'].telemetry.digest()} ({run['policy']})")
-    store = ResultStore(args.results_dir)
-    path = store.save(
-        f"serve-bench-slo-{args.model}",
-        {
-            "model": args.model,
-            "notation": args.notation,
-            "backend": args.backend,
-            "num_chips": args.num_chips,
-            "fleet": args.fleet,
-            "requests": args.requests,
-            "seed": args.seed,
-            "slo_ticks": args.slo_ticks,
-            "slo_ceiling": args.slo_ceiling,
-            "transient_rate": args.transient_rate,
-            "latency_rate": args.latency_rate,
-            "fault_seed": args.fault_seed,
-            "best_policy": best["policy"],
-            "reproducible": reproducible,
-            "policies": [
-                {
-                    "policy": run["policy"],
-                    "served": len(run["served"]),
-                    "dead_letters": sorted(run["engine"].dead_letters),
-                    "attainment": run["attainment"],
-                    "violation_fraction": run["violation_fraction"],
-                    "accuracy": run["accuracy"],
-                    "seconds": run["seconds"],
-                    "telemetry": run["engine"].telemetry.report(),
-                }
-                for run in runs
-            ],
-        },
-    )
-    print(f"\nsaved: {path}")
+        print(f"telemetry digest: {run.engine.telemetry.digest()} ({run.policy})")
+    _save(args, f"serve-bench-slo-{args.model}", {
+        "slo_ticks": args.slo_ticks,
+        "slo_ceiling": args.slo_ceiling,
+        "transient_rate": args.transient_rate,
+        "latency_rate": args.latency_rate,
+        "fault_seed": args.fault_seed,
+        "best_policy": best.policy,
+        "reproducible": reproducible,
+        "policies": [
+            {**run.entry(), "served": len(run.served),
+             "dead_letters": sorted(run.engine.dead_letters),
+             "attainment": run.engine.telemetry.slo_attainment,
+             "violation_fraction": _violation_fraction(run.engine.telemetry),
+             "seconds": run.seconds}
+            for run in runs
+        ],
+    })
     if not reproducible:
         print("ERROR: slo run is not bit-reproducible across reruns")
         return 1
-    if best["violation_fraction"] > args.slo_ceiling:
+    if violations > args.slo_ceiling:
         print(
-            f"ERROR: SLO violation fraction {100 * best['violation_fraction']:.1f}% "
+            f"ERROR: SLO violation fraction {100 * violations:.1f}% "
             f"above ceiling {100 * args.slo_ceiling:.1f}%"
         )
         return 1
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from repro.serve import InferenceEngine, ServeConfig
+def _print_batching_delta(sequential: _Session, batched: _Session) -> None:
+    """How far batching moved the requests both runs served on one chip.
 
+    Batch composition can move a logit by a few ulps (BLAS may sum a
+    one-row product in another order than a many-row one); this line
+    says whether any such move changed a predicted class.
+    """
+    chips = sequential.engine.assignments()
+    same = [rid for rid, chip in batched.engine.assignments().items()
+            if chips.get(rid) == chip]
+    pairs = [(sequential.outputs[rid], batched.outputs[rid]) for rid in same]
+    changed = sum(int(a.argmax() != b.argmax()) for a, b in pairs)
+    delta = max((float(np.abs(a - b).max()) for a, b in pairs), default=0.0)
+    print(f"batched vs sequential on the same chip: {len(same)} requests, "
+          f"{changed} changed class, max |dlogit| {delta:.1e}")
+
+
+def _cmd_serve_bench(args) -> int:
     if sum((args.chaos, args.drift, args.slo)) > 1:
         raise SystemExit(
             "error: --chaos, --drift, and --slo are separate benches; pick one"
         )
-    if args.chaos:
-        return _cmd_serve_bench_chaos(args)
     if args.drift:
         return _cmd_serve_bench_drift(args)
-    if args.slo:
-        return _cmd_serve_bench_slo(args)
+    if args.chaos or args.slo:
+        # Faults and deadlines land on ticks, so these benches spread
+        # arrivals over time; plain serve-bench submits all at tick 0.
+        args.trace = args.trace or "uniform"
     model, test, eval_spec = _serve_model(args)
-    workload, _, ids = _serving_workload(args, test)
-
-    def serve(max_batch: int, max_wait: int, fused: bool):
-        config = ServeConfig(
-            max_batch=max_batch,
-            max_wait=max_wait,
-            policy=args.policy,
-            seed=args.seed,
-            self_tuning=_self_tuning(args),
-            backend=args.backend,
-            fused=fused,
-            max_resident_chips=args.max_resident_chips,
-        )
-        engine = InferenceEngine(
-            model, eval_spec, args.num_chips, config, fleet_spec=_fleet_spec(args)
-        )
-        engine.warm_up()  # program outside the timed region
-        if args.policy in ("accuracy-weighted", "drift-aware", "energy-aware"):
-            engine.probe_fleet(test, k=args.probe_k)
-        started = time.perf_counter()
-        if args.trace is not None:
-            outputs = engine.run_trace(workload, _cli_trace(args), ids=ids)
-        else:
-            outputs = engine.run(workload, ids=ids)
-        return engine, outputs, time.perf_counter() - started
-
-    # The sequential reference is per-request by definition: fusing its
-    # single-sample batches would measure a different baseline.
-    sequential, seq_out, seq_seconds = serve(max_batch=1, max_wait=0, fused=False)
-    batched, batch_out, batch_seconds = serve(
-        args.max_batch, args.max_wait, fused=args.fused
+    trace = _cli_trace(args)
+    if args.chaos:
+        return _cmd_serve_bench_chaos(args, model, test, eval_spec, trace)
+    if args.slo:
+        return _cmd_serve_bench_slo(args, model, test, eval_spec, trace)
+    sequential, batched = (
+        _serve(args, model, test, eval_spec, args.policy, mode, trace)
+        for mode in ("sequential", "batched")
     )
-    mismatched = sum(
-        not np.array_equal(seq_out[rid], batch_out[rid]) for rid in ids
-    )
-    speedup = seq_seconds / batch_seconds if batch_seconds > 0 else float("inf")
+    speedup = sequential.seconds / batched.seconds if batched.seconds > 0 else float("inf")
     rows = [
-        ["sequential", args.requests, sequential.telemetry.batches,
-         f"{sequential.telemetry.batch_size.mean:.1f}",
-         f"{args.requests / seq_seconds:.1f}", "1.00"],
-        ["batched", args.requests, batched.telemetry.batches,
-         f"{batched.telemetry.batch_size.mean:.1f}",
-         f"{args.requests / batch_seconds:.1f}", f"{speedup:.2f}"],
-    ]
-    print(
-        format_table(
-            ["mode", "requests", "batches", "batch mean", "throughput sps", "speedup"],
-            rows,
-            title=(
-                f"serve-bench {args.model}/{args.notation} sigma={args.sigma} "
-                f"{args.scenario}, {args.num_chips} chips, "
-                f"backend={args.backend}, policy={args.policy}"
-            ),
+        [mode, args.requests, run.engine.telemetry.batches,
+         f"{run.engine.telemetry.batch_size.mean:.1f}",
+         f"{args.requests / run.seconds:.1f}", ratio]
+        for mode, run, ratio in (
+            ("sequential", sequential, "1.00"), ("batched", batched, f"{speedup:.2f}")
         )
-    )
+    ]
+    print(format_table(
+        ["mode", "requests", "batches", "batch mean", "throughput sps", "speedup"],
+        rows,
+        title=(
+            f"serve-bench {args.model}/{args.notation} sigma={args.sigma} "
+            f"{args.scenario}, {args.num_chips} chips, "
+            f"backend={args.backend}, policy={args.policy}"
+        ),
+    ))
+    telemetry = batched.engine.telemetry
     print("\nbatched engine telemetry:")
-    print(batched.telemetry.format())
-    fused_stats = batched.telemetry
-    print(f"fused dispatch: {fused_stats.fused_groups} groups, "
-          f"{fused_stats.fused_batches} batches, "
-          f"{fused_stats.fused_fallback_batches} fallbacks")
-    print(f"telemetry digest: {batched.telemetry.digest()}")
+    print(telemetry.format())
+    print(f"fused dispatch: {telemetry.fused_groups} groups, "
+          f"{telemetry.fused_batches} batches, "
+          f"{telemetry.fused_fallback_batches} fallbacks")
+    print(f"telemetry digest: {telemetry.digest()}")
     print()
-    _print_span_breakdown(batched, title="per-stage span breakdown (batched)")
-    if mismatched:
-        print(f"WARNING: {mismatched} requests differ between modes "
-              "(policies may route them to different chips)")
-    store = ResultStore(args.results_dir)
-    path = store.save(
-        f"serve-bench-{args.model}",
-        {
-            "model": args.model,
-            "notation": args.notation,
-            "sigma": args.sigma,
-            "scenario": args.scenario,
-            "backend": args.backend,
-            "policy": args.policy,
-            "num_chips": args.num_chips,
-            "max_batch": args.max_batch,
-            "max_wait": args.max_wait,
-            "requests": args.requests,
-            "max_resident_chips": args.max_resident_chips,
-            "sequential_seconds": seq_seconds,
-            "batched_seconds": batch_seconds,
-            "speedup": speedup,
-            "telemetry": batched.telemetry.report(),
-            "cache": batched.cache.stats.as_dict(),
-        },
-    )
-    print(f"\nsaved: {path}")
+    _print_span_breakdown(batched.engine, title="per-stage span breakdown (batched)")
+    _print_batching_delta(sequential, batched)
+    _save(args, f"serve-bench-{args.model}", {
+        "policy": args.policy,
+        "sequential_seconds": sequential.seconds,
+        "batched_seconds": batched.seconds,
+        "speedup": speedup,
+        "telemetry": telemetry.report(),
+        "cache": batched.engine.cache.stats.as_dict(),
+    })
     return 0
 
 

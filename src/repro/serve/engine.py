@@ -16,8 +16,11 @@ across the fleet under a pluggable
 
 Everything is deterministic from ``ServeConfig.seed``: the same fleet,
 the same request ids, and the same arrival ticks reproduce bit-identical
-outputs — the per-row results are even invariant to batch composition,
-because both backends treat batch rows independently.
+outputs.  Per-row results are *not* invariant to batch composition: BLAS
+may sum a one-row product in another order than a many-row one, so a
+row's logits can move by a few ulps when its batch changes size (on one
+chip at ``serve-bench``'s default shape, batches of 1 and 2 differ on
+most rows by at most 9e-16, with no predicted class changed).
 """
 
 from __future__ import annotations

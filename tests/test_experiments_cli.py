@@ -2,12 +2,14 @@
 
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.experiments.cli import build_parser, main
+from repro.experiments.cli import _reproducible, _Session, build_parser, main
 from repro.experiments.store import ResultStore
+from repro.serve import FaultEvent
 
 
 def _digests(out: str) -> list[str]:
@@ -139,9 +141,13 @@ class TestParser:
     def test_lifetime_bench_defaults(self):
         args = build_parser().parse_args(["lifetime-bench"])
         assert args.command == "lifetime-bench"
-        assert args.policy == "drift-aware"
         assert args.policies == ["round-robin", "accuracy-weighted", "drift-aware"]
         assert args.probe_every == 8.0
+
+    def test_lifetime_bench_rejects_policy(self):
+        # lifetime-bench races --policies; a single --policy would be ignored.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lifetime-bench", "--policy", "round-robin"])
 
     def test_lifetime_bench_rejects_unknown_trace(self):
         with pytest.raises(SystemExit):
@@ -304,6 +310,53 @@ class TestCliEndToEnd:
             "round-robin", "drift-aware",
         ]
 
+    def test_drift_race_and_lifetime_bench_are_one_runner(self, tmp_path, capsys):
+        shape = ["--skip-training", "--requests", "64", "--max-batch", "8",
+                 "--trace-rate", "4"]
+        assert main(["serve-bench", "--drift", "--policy", "accuracy-weighted", *shape,
+                     "--results-dir", str(tmp_path / "drift")]) == 0
+        drift = _digests(capsys.readouterr().out)
+        assert main(["lifetime-bench", *shape, "--policies", "accuracy-weighted",
+                     "drift-aware", "round-robin",
+                     "--results-dir", str(tmp_path / "lifetime")]) == 0
+        assert _digests(capsys.readouterr().out) == drift
+        assert len(drift) == 3
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["serve-bench", "--policy", "latency-aware", "--trace", "bursty"],
+             "serve-bench-lenet5"),
+            (["serve-bench", "--chaos", "--num-chips", "4", "--max-batch", "8",
+              "--policy", "accuracy-weighted", "--trace", "uniform"],
+             "serve-bench-chaos-lenet5"),
+        ],
+        ids=["plain-latency-aware", "chaos-accuracy-weighted"],
+    )
+    def test_quality_policies_probe_before_traffic(self, tmp_path, capsys, argv, name):
+        # A quality policy routing on unprobed chips reads every chip as 1.0.
+        code = main([*argv, "--skip-training", "--requests", "32",
+                     "--results-dir", str(tmp_path)])
+        assert code == 0
+        capsys.readouterr()
+        record = ResultStore(str(tmp_path)).load(name)
+        assert record["telemetry"]["probes"]["run"] > 0
+
+    def test_serve_bench_compares_same_chip_requests_only(self, tmp_path, capsys):
+        code = main(["serve-bench", "--skip-training", "--num-chips", "1",
+                     "--requests", "48", "--results-dir", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "WARNING" not in out
+        match = re.search(
+            r"^batched vs sequential on the same chip: (\d+) requests, "
+            r"(\d+) changed class, max \|dlogit\| (\S+)$", out, re.MULTILINE,
+        )
+        assert match, out
+        assert match.group(1) == "48"  # one chip serves every request twice
+        assert match.group(2) == "0"
+        assert float(match.group(3)) < 1e-9
+
     @pytest.mark.slow
     def test_run_with_self_tuning(self, tmp_path, capsys):
         code = main(
@@ -320,3 +373,76 @@ class TestCliEndToEnd:
         assert code == 0
         record = ResultStore(str(tmp_path)).load("run-qavat-lenet5")
         assert record["self_tuning"] == "global"
+
+
+def _fake_session(**changes) -> _Session:
+    """A finished session whose every compared field can be varied alone."""
+    telemetry = SimpleNamespace(
+        digest=lambda: "d" * 64, retries=2, hedges=1, slo_met=3, slo_violations=1,
+        slo_series=[(0, 1, 0), (1, 3, 1)],
+    )
+    fields = {
+        "policy": "round-robin",
+        "engine": SimpleNamespace(telemetry=telemetry, dead_letters={"r000003": None}),
+        "injector": SimpleNamespace(schedule=[
+            FaultEvent(2, "death", "chip01"), FaultEvent(5, "stuck-at", "chip00"),
+        ]),
+        "outputs": {f"r{i:06d}": np.linspace(-1.0, 1.0, 4) + i for i in range(3)},
+        "ids": [f"r{i:06d}" for i in range(4)],
+        "labels": np.zeros(4, dtype=int),
+        "seconds": 0.5,
+    }
+    return _Session(**{**fields, **changes})
+
+
+def _one_ulp(outputs: dict) -> dict:
+    moved = dict(outputs)
+    row = moved["r000001"].copy()
+    row[2] = np.nextafter(row[2], np.inf)
+    moved["r000001"] = row
+    return moved
+
+
+def _with_telemetry(**fields) -> SimpleNamespace:
+    base = _fake_session().engine
+    telemetry = SimpleNamespace(**{**vars(base.telemetry), **fields})
+    return SimpleNamespace(telemetry=telemetry, dead_letters=base.dead_letters)
+
+
+class TestReproducible:
+    """The one rerun predicate behind the --chaos and --slo gates."""
+
+    def test_identical_rerun_is_reproducible(self):
+        assert _reproducible(_fake_session(), _fake_session())
+
+    @pytest.mark.parametrize(
+        "rerun",
+        [
+            lambda: _fake_session(outputs=_one_ulp(_fake_session().outputs)),
+            lambda: _fake_session(engine=SimpleNamespace(
+                telemetry=_fake_session().engine.telemetry,
+                dead_letters={"r000002": None},
+            )),
+            lambda: _fake_session(injector=SimpleNamespace(schedule=[
+                FaultEvent(3, "death", "chip01"), FaultEvent(5, "stuck-at", "chip00"),
+            ])),
+            lambda: _fake_session(injector=None),
+            lambda: _fake_session(engine=_with_telemetry(digest=lambda: "e" * 64)),
+            lambda: _fake_session(engine=_with_telemetry(retries=3)),
+            lambda: _fake_session(engine=_with_telemetry(hedges=0)),
+            lambda: _fake_session(engine=_with_telemetry(slo_met=4)),
+            lambda: _fake_session(engine=_with_telemetry(slo_violations=0)),
+            lambda: _fake_session(engine=_with_telemetry(
+                slo_series=[(0, 1, 0), (1, 2, 1), (1, 3, 1)],
+            )),
+            lambda: _fake_session(outputs={
+                rid: row for rid, row in _fake_session().outputs.items()
+                if rid != "r000002"
+            }),
+        ],
+        ids=["output-row-one-ulp", "dead-letter-id", "fault-event", "no-injector",
+             "digest", "retries", "hedges", "slo-met", "slo-violations",
+             "slo-series", "served-ids"],
+    )
+    def test_one_difference_is_not_reproducible(self, rerun):
+        assert not _reproducible(_fake_session(), rerun())

@@ -150,12 +150,14 @@ class TestRunTrace:
         assert engine.telemetry.requests == 20
 
     def test_trace_matches_closed_loop_on_single_chip(self, engine_factory):
-        """On one chip, arrival timing changes batching but never outputs.
+        """On one chip, this trace's batching leaves the outputs bit-equal.
 
-        (With several chips, timing moves batch boundaries and therefore
-        *which chip* serves a request — a routing effect, not a numerics
-        one.  A single-chip fleet isolates the engine's actual guarantee:
-        per-row results are invariant to batch composition.)
+        A single-chip fleet takes routing out: with several chips, timing
+        moves batch boundaries and so *which chip* serves a request.  Per-row
+        results are not invariant to batch composition in general (BLAS may
+        sum a one-row product in another order than a many-row one, a few
+        ulps apart); at this model and these batch sizes they come out
+        bit-equal, and this test pins that.
         """
         engine_a, dataset = engine_factory(num_chips=1, seed=4)
         engine_b, _ = engine_factory(num_chips=1, seed=4)

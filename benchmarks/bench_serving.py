@@ -52,7 +52,6 @@ from repro.serve import (
     FaultInjector,
     FaultPlan,
     InferenceEngine,
-    ReplayTrace,
     ServeConfig,
     UniformTrace,
 )
@@ -193,7 +192,7 @@ def test_chaos_goodput_floor():
     transients) on a 16-chip fleet never crashes the engine and serves
     >= 95% of requests; the rest carry dead-letter records."""
     model, spec, workload, ids = _serving_workload()
-    trace = ReplayTrace.from_trace(UniformTrace(rate=8.0), len(ids))
+    trace = UniformTrace(rate=8.0)
     engine, outputs, _ = _chaos_run(model, spec, workload, ids, trace)
     goodput = engine.telemetry.goodput
     assert len(outputs) + len(engine.dead_letters) == len(ids)
@@ -206,7 +205,7 @@ def test_chaos_run_is_bit_reproducible():
     """Acceptance: same (engine seed, fault seed, trace) => identical fault
     schedule, dead-letter set, and served outputs."""
     model, spec, workload, ids = _serving_workload()
-    trace = ReplayTrace.from_trace(UniformTrace(rate=8.0), len(ids))
+    trace = UniformTrace(rate=8.0)
     first, out_a, _ = _chaos_run(model, spec, workload, ids, trace, seed=3)
     second, out_b, _ = _chaos_run(model, spec, workload, ids, trace, seed=3)
     assert first.faults.schedule == second.faults.schedule

@@ -35,7 +35,6 @@ from repro.serve import (
     FaultPlan,
     HealthConfig,
     InferenceEngine,
-    ReplayTrace,
     RetryPolicy,
     ServeConfig,
 )
@@ -94,11 +93,7 @@ def main() -> None:
     reps = 1 + (REQUESTS - 1) // len(test)
     workload = np.concatenate([test.images] * reps)[:REQUESTS]
     ids = [f"r{i:05d}" for i in range(REQUESTS)]
-    # Pin arrival ticks so two runs see the same traffic, fault for fault.
-    trace = ReplayTrace.from_trace(
-        BurstyTrace(rate=2.0, burst_rate=24.0, period=16, duty=0.25, seed=3),
-        REQUESTS,
-    )
+    trace = BurstyTrace(rate=2.0, burst_rate=24.0, period=16, duty=0.25, seed=3)
 
     print(f"{NUM_CHIPS}-chip fleet, {REQUESTS} requests, default chaos mix")
     engine, schedule, outputs = chaos_run(model, spec, workload, ids, trace)

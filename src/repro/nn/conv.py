@@ -13,6 +13,19 @@ names.  The index holds the flat source offset of every patch element,
 with padded positions pointing at one zero slot appended to each sample.
 It depends only on the geometry (channels, height, width, kernel,
 stride, padding), so it is built once per geometry and cached.
+
+:func:`col2im` is the backward of that gather: it scatter-adds patch
+gradients back to the input.  It accumulates into a channel-last
+``(N, H_pad, W_pad, C)`` buffer, one strided add per kernel offset
+``(i, j)`` in row-major order starting from 0.0, so every add writes
+channel-contiguous runs.  Each input pixel still receives its terms in
+exactly the order the channel-first strided adds used, so its sum and
+every gradient built on it are bit-identical to theirs.
+
+:class:`Conv2dFunction` computes that input gradient only when the input
+requires grad.  The first convolution of a model reads data, so its
+backward skips the ``grad @ W`` GEMM and the scatter and returns only
+the weight and bias gradients.
 """
 
 from __future__ import annotations
@@ -96,22 +109,30 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Scatter-add patch gradients back to input shape (inverse of im2col)."""
+    """Scatter-add patch gradients back to input shape (adjoint of :func:`im2col`).
+
+    ``cols`` has :func:`im2col`'s layout ``(N, H_out, W_out, C*kh*kw)``;
+    the result is a new C-contiguous NCHW array of ``x_shape`` and
+    ``cols``'s dtype.  The adds run into a channel-last buffer, one per
+    kernel offset ``(i, j)`` in row-major order from 0.0, so each writes
+    channel-contiguous runs while every pixel sums its terms in the same
+    order as channel-first strided adds: the result is bit-identical to
+    theirs (the module docstring has the scheme).
+    """
     n, c, h, w = x_shape
     kh, kw = kernel
     h_pad, w_pad = h + 2 * padding, w + 2 * padding
     h_out = (h_pad - kh) // stride + 1
     w_out = (w_pad - kw) // stride + 1
-    cols = cols.reshape(n, h_out, w_out, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    out = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
+    cols = cols.reshape(n, h_out, w_out, c, kh, kw)
+    out = np.zeros((n, h_pad, w_pad, c), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += cols[
-                :, :, :, :, i, j
+            out[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += cols[
+                ..., i, j
             ]
-    if padding:
-        out = out[:, :, padding : padding + h, padding : padding + w]
-    return out
+    out = out[:, padding : padding + h, padding : padding + w]
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -120,7 +141,13 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 class Conv2dFunction(Function):
-    """Fused conv2d: forward + backward w.r.t. input, weight, and bias."""
+    """Fused conv2d: forward + backward w.r.t. input, weight, and bias.
+
+    The backward computes the input gradient (``grad @ W`` and
+    :func:`col2im`) only when ``needs_input_grad[0]`` says the input
+    requires grad, and returns ``None`` for it otherwise; the weight and
+    bias gradients are always computed.
+    """
 
     def forward(self, x, weight, bias, stride: int = 1, padding: int = 0):
         out_channels, in_channels, kh, kw = weight.shape
@@ -147,8 +174,10 @@ class Conv2dFunction(Function):
         grad_flat = grad_nhwc.reshape(-1, out_channels)
         cols_flat = cols.reshape(-1, cols.shape[-1])
         grad_weight = (grad_flat.T @ cols_flat).reshape(w_shape)
-        grad_cols = grad_nhwc @ w_mat  # (N, Ho, Wo, C*kh*kw)
-        grad_x = col2im(grad_cols, x_shape, w_shape[2:], self.stride, self.padding)
+        grad_x = None
+        if self.needs_input_grad[0]:
+            grad_cols = grad_nhwc @ w_mat  # (N, Ho, Wo, C*kh*kw)
+            grad_x = col2im(grad_cols, x_shape, w_shape[2:], self.stride, self.padding)
         grad_bias = grad_flat.sum(axis=0) if self.has_bias else None
         return grad_x, grad_weight, grad_bias
 

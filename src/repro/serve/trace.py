@@ -200,12 +200,14 @@ class ReplayTrace(ArrivalTrace):
 
     @classmethod
     def from_trace(cls, trace: ArrivalTrace, count: int) -> "ReplayTrace":
-        """Freeze another trace's schedule for ``count`` requests.
+        """The first ``count`` arrivals of ``trace`` as an explicit list.
 
-        Pins a generated (possibly seeded-random) trace to an explicit
-        arrival list, so two runs — e.g. the reproducibility pair of the
-        chaos bench — replay *literally* the same ticks rather than two
-        draws of the same distribution.  Deadlines (a wrapped
+        The replay schedules exactly the ticks ``trace`` does; it adds no
+        determinism, since every trace here already draws the same
+        schedule on each call (a seeded trace seeds a fresh generator
+        from its own seed).  What it adds is a plain tuple of ticks that
+        can be edited (shifted, spliced, saved with a run) and replayed
+        through a new :class:`ReplayTrace`.  Deadlines (a wrapped
         :class:`DeadlineTrace`, a deadline-bearing replay) are frozen too.
         """
         deadlines = trace.deadline_schedule(count)

@@ -6,7 +6,13 @@ import pytest
 from repro import nn
 from repro.autograd import Tensor, no_grad
 from repro.autograd.grad_check import numerical_gradient
-from repro.nn.conv import _patch_index, col2im, conv_output_size, im2col
+from repro.experiments.configs import EXPERIMENT_SCALES, model_for
+from repro.nn import conv as conv_module
+from repro.nn import functional as F
+from repro.nn.conv import Conv2dFunction, _patch_index, col2im, conv_output_size, im2col
+from repro.quant import QConfig, calibrate_model, convert_to_quantized
+from repro.training import SGD, QavatTrainer
+from repro.variability import VariabilityInjector, VariabilitySpec, WeightProportionalVariance
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -45,7 +51,7 @@ class TestConv2d:
         with no_grad():
             assert np.allclose(conv(Tensor(x)).data, expected, atol=1e-10)
 
-    def test_gradients(self, rng):
+    def test_gradients(self, rng, monkeypatch):
         x = Tensor(rng.normal(size=(2, 2, 6, 6)), requires_grad=True)
         conv = nn.Conv2d(2, 3, 3, stride=2, padding=1)
 
@@ -61,6 +67,13 @@ class TestConv2d:
             assert analytic is not None
         num = numerical_gradient(f, [x], 0)
         assert np.allclose(x.grad, num, atol=1e-5)
+        # An input that requires grad still gets exactly the bytes of the
+        # strided-add backward.
+        got = x.grad
+        x.grad = None
+        monkeypatch.setattr(Conv2dFunction, "backward", _reference_conv_backward)
+        f(x).backward()
+        assert got.shape == x.grad.shape and got.tobytes() == x.grad.tobytes()
 
     def test_weight_gradient_numeric(self, rng):
         x = Tensor(rng.normal(size=(1, 2, 5, 5)))
@@ -102,6 +115,36 @@ class TestIm2col:
         # Center pixel belongs to all four patches.
         assert back[0, 0, 1, 1] == pytest.approx(4.0)
         assert back[0, 0, 0, 0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 3), (5, 5), (1, 3), (3, 2)])
+    def test_col2im_matches_strided_reference_byte_for_byte(self, rng, kernel, stride, padding):
+        """Same shape, dtype and bytes as the channel-first strided adds, as
+        a fresh C-contiguous array, with -0.0, NaN and ±inf among the patch
+        gradients, on every batch, channel count and non-square input of
+        the im2col grid whose padded input fits the kernel."""
+        for batch in (0, 1, 7):
+            for channels in (1, 3):
+                for height, width in ((4, 7), (9, 6)):
+                    if kernel[0] > height + 2 * padding or kernel[1] > width + 2 * padding:
+                        continue
+                    x_shape = (batch, channels, height, width)
+                    h_out = conv_output_size(height, kernel[0], stride, padding)
+                    w_out = conv_output_size(width, kernel[1], stride, padding)
+                    cols = _special_values(
+                        rng.normal(size=(batch, h_out, w_out, channels * kernel[0] * kernel[1]))
+                    )
+                    got = col2im(cols, x_shape, kernel, stride, padding)
+                    _assert_same_bytes(got, _strided_col2im(cols, x_shape, kernel, stride, padding))
+                    assert not np.shares_memory(got, cols)
+
+    def test_col2im_keeps_gradient_dtype(self, rng):
+        cols = rng.normal(size=(2, 5, 6, 18)).astype(np.float32)
+        _assert_same_bytes(
+            col2im(cols, (2, 2, 5, 6), (3, 3), 1, 1),
+            _strided_col2im(cols, (2, 2, 5, 6), (3, 3), 1, 1),
+        )
 
     def test_output_size(self):
         assert conv_output_size(32, 3, 1, 1) == 32
@@ -208,6 +251,45 @@ def _window_im2col(x, kernel, stride, padding):
     return np.ascontiguousarray(windows).reshape(n, h_out, w_out, x.shape[1] * kh * kw)
 
 
+def _strided_col2im(cols, x_shape, kernel, stride, padding):
+    """The channel-first strided-add scatter col2im used before the
+    channel-last buffer.
+
+    Kept as the reference col2im must reproduce byte for byte.  With
+    padding it returns a non-contiguous view of its buffer.
+    """
+    n, c, h, w = x_shape
+    kh, kw = kernel
+    h_pad, w_pad = h + 2 * padding, w + 2 * padding
+    h_out = (h_pad - kh) // stride + 1
+    w_out = (w_pad - kw) // stride + 1
+    cols = cols.reshape(n, h_out, w_out, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    out = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            out[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += cols[
+                :, :, :, :, i, j
+            ]
+    if padding:
+        out = out[:, :, padding : padding + h, padding : padding + w]
+    return out
+
+
+def _reference_conv_backward(self, grad):
+    """``Conv2dFunction.backward`` as it was before it skipped unneeded input
+    gradients: it always computes ``grad_x``, through :func:`_strided_col2im`."""
+    cols, w_mat, x_shape, w_shape = self.saved
+    out_channels = w_shape[0]
+    grad_nhwc = grad.transpose(0, 2, 3, 1)
+    grad_flat = grad_nhwc.reshape(-1, out_channels)
+    cols_flat = cols.reshape(-1, cols.shape[-1])
+    grad_weight = (grad_flat.T @ cols_flat).reshape(w_shape)
+    grad_cols = grad_nhwc @ w_mat
+    grad_x = _strided_col2im(grad_cols, x_shape, w_shape[2:], self.stride, self.padding)
+    grad_bias = grad_flat.sum(axis=0) if self.has_bias else None
+    return grad_x, grad_weight, grad_bias
+
+
 def _special_values(x):
     """``x`` with -0.0, NaN, +inf and -inf planted where it has room."""
     flat = x.reshape(-1)
@@ -222,6 +304,72 @@ def _assert_same_bytes(got, want):
     assert got.dtype == want.dtype
     assert got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
+
+
+def _tiny_fake_quant_model(model_name, workload, batch=8):
+    """``model_name`` at the tiny experiment width, A4W2 fake-quant and
+    calibrated on one seeded random batch: ``(model, inputs, targets)``."""
+    model = model_for(model_name, workload, EXPERIMENT_SCALES["tiny"])
+    side, channels = (28, 1) if workload == "mnist" else (32, 3)
+    data = np.random.default_rng(3)
+    inputs = data.normal(size=(batch, channels, side, side))
+    targets = data.integers(0, 10, size=batch)
+    convert_to_quantized(model, QConfig.from_notation("A4W2"))
+    calibrate_model(model, [(inputs, targets)])
+    model.train()
+    return model, inputs, targets
+
+
+def _mixed_variation_injector():
+    return VariabilityInjector(VariabilitySpec.mixed(0.2, WeightProportionalVariance()), seed=0)
+
+
+class TestConvInputGradient:
+    """The conv backward computes an input gradient only where it is read."""
+
+    def test_qavat_step_scatters_for_the_second_conv_only(self, monkeypatch):
+        model, inputs, targets = _tiny_fake_quant_model("lenet5", "mnist", batch=32)
+        trainer = QavatTrainer(model, SGD(model.parameters(), lr=0.05), _mixed_variation_injector())
+        scattered, returned = [], []
+        real_col2im, real_backward = conv_module.col2im, Conv2dFunction.backward
+
+        def counting_col2im(cols, x_shape, *geometry):
+            scattered.append(x_shape)
+            return real_col2im(cols, x_shape, *geometry)
+
+        def recording_backward(self, grad):
+            grads = real_backward(self, grad)
+            returned.append((self.saved[2], grads[0]))
+            return grads
+
+        monkeypatch.setattr(conv_module, "col2im", counting_col2im)
+        monkeypatch.setattr(Conv2dFunction, "backward", recording_backward)
+        trainer.train_step(inputs, targets)
+        # Backward runs output first: conv2, then conv1 on the data.
+        (conv2_shape, conv2_grad), (conv1_shape, conv1_grad) = returned
+        assert conv1_shape == inputs.shape and conv1_grad is None
+        assert conv2_grad.shape == conv2_shape
+        assert scattered == [conv2_shape]
+
+    @pytest.mark.parametrize(
+        "model_name, workload", [("lenet5", "mnist"), ("vgg11", "cifar10"), ("resnet18", "cifar10")]
+    )
+    def test_parameter_gradients_match_reference_backward(
+        self, monkeypatch, model_name, workload
+    ):
+        def step_gradients():
+            model, inputs, targets = _tiny_fake_quant_model(model_name, workload)
+            _mixed_variation_injector().resample(model)
+            F.cross_entropy(model(Tensor(inputs)), targets).backward()
+            return {name: p.grad for name, p in model.named_parameters()}
+
+        got = step_gradients()
+        monkeypatch.setattr(Conv2dFunction, "backward", _reference_conv_backward)
+        want = step_gradients()
+        assert list(got) == list(want)
+        for name, grad in got.items():
+            assert grad.dtype == want[name].dtype and grad.shape == want[name].shape, name
+            assert grad.tobytes() == want[name].tobytes(), name
 
 
 class TestPooling:

@@ -7,8 +7,8 @@ serving guarantees:
 * dynamic micro-batching beats sequential per-request inference by >= 3x
   on the same workload and fleet;
 * a fixed seed reproduces identical per-request outputs across two runs;
-* with tracing off, the obs calls a request triggers cost < 5% of its
-  measured service time.
+* the stage-meter calls a request triggers cost < 5% of its measured
+  service time.
 
 Run under pytest for the full benchmark harness::
 
@@ -35,10 +35,9 @@ import time
 
 import numpy as np
 
+_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 if __name__ == "__main__":  # smoke entrypoint works without PYTHONPATH=src
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-    )
+    sys.path.insert(0, os.path.join(_ROOT, "src"))
 
 from repro.datasets.loaders import batch_iterator
 from repro.datasets.synthetic import synthetic_mnist
@@ -142,36 +141,57 @@ def test_fixed_seed_reproduces_outputs():
     assert all(np.array_equal(first[rid], second[rid]) for rid in ids)
 
 
-def test_null_obs_cost_under_5pct_of_service_time():
-    """The obs calls one request triggers with tracing off (events + no-op
-    spans) must cost < 5% of that request's measured service time.
-
-    ``tests/test_obs_overhead.py`` pins how many calls that is on the
-    per-chip path (under two per request); 12 per request is a deliberate
-    overestimate of it.
-    """
-    model, spec, workload, ids = _serving_workload(requests=64)
-    obs = Observability.disabled()
-    calls = 20000
+def _per_call_seconds(call, rounds: int = 20000) -> float:
     started = time.perf_counter()
-    for _ in range(calls):
-        with obs.span("stage", chip="chip00", tick=0):
+    for _ in range(rounds):
+        call()
+    return (time.perf_counter() - started) / rounds
+
+
+def test_obs_cost_under_5pct_of_service_time():
+    """The stage-meter calls one request triggers must cost < 5% of that
+    request's measured service time.
+
+    The run's own ``span`` and ``event`` calls are counted (per-chip path,
+    64 requests; ``tests/test_obs_overhead.py`` pins the count at 104) and
+    priced at the always-on path's measured per-call cost.
+    """
+    # Counted with the same subclass the tier-1 call-count test uses.
+    sys.path.insert(0, os.path.join(_ROOT, "tests"))
+    from test_obs_overhead import CountingObservability
+
+    model, spec, workload, ids = _serving_workload(requests=64)
+
+    def engine(obs=None):
+        served = InferenceEngine(
+            model, spec, num_chips=2,
+            config=ServeConfig(max_batch=8, max_wait=2, fused=False), obs=obs,
+        )
+        served.warm_up()
+        return served
+
+    counting = CountingObservability()
+    counted = engine(counting)
+    counting.calls = counting.spans = 0
+    counted.run(workload, ids=ids)
+    per_request_seconds = _timed_run(engine(), workload, ids) / len(ids)
+
+    obs = Observability()
+
+    def span():
+        with obs.span("stage"):
             pass
-        obs.event("enqueue", request="r", tick=0)
-    per_op_seconds = (time.perf_counter() - started) / (2 * calls)
 
-    engine = InferenceEngine(
-        model,
-        spec,
-        num_chips=2,
-        config=ServeConfig(max_batch=8, max_wait=2, tracing=False, fused=False),
-    )
-    engine.warm_up()
-    per_request_seconds = _timed_run(engine, workload, ids) / len(ids)
-
-    overhead = 12 * per_op_seconds
+    span_seconds = _per_call_seconds(span)
+    event_seconds = _per_call_seconds(lambda: obs.event("enqueue"))
+    events = counting.calls - counting.spans
+    overhead = (counting.spans * span_seconds + events * event_seconds) / len(ids)
+    print(f"\n{counting.calls / len(ids):.3f} obs calls/request "
+          f"(span {1e6 * span_seconds:.2f} us, event {1e6 * event_seconds:.2f} us): "
+          f"{1e6 * overhead:.2f} us/request against "
+          f"{1e6 * per_request_seconds:.2f} us/request service time")
     assert overhead < 0.05 * per_request_seconds, (
-        f"null-obs overhead {1e6 * overhead:.2f} us/request exceeds 5% of "
+        f"obs overhead {1e6 * overhead:.2f} us/request exceeds 5% of "
         f"{1e6 * per_request_seconds:.2f} us/request service time"
     )
 
@@ -304,7 +324,7 @@ def main(argv=None) -> int:
           f"{fused_stats['fallback_batches']} fallbacks)")
     print(f"request latency ms: p50 {1e3 * latency['p50']:.2f}  "
           f"p95 {1e3 * latency['p95']:.2f}  p99 {1e3 * latency['p99']:.2f}")
-    breakdown = engine.obs.recorder.breakdown()
+    breakdown = engine.obs.breakdown()
     for name in sorted(breakdown, key=lambda n: -breakdown[n]["total_s"]):
         stats = breakdown[name]
         print(f"  {name:<16s} x{stats['count']:<4d} "

@@ -16,9 +16,9 @@ chases over a chip's service life:
    chip's cached mapping invalidated;
 4. replay the same bursty arrival trace under round-robin and drift-aware
    scheduling and compare end-of-trace accuracy;
-5. dump the drift-aware run's span timeline (``lifecycle_trace.jsonl``)
-   and print the per-stage breakdown — where a request's time actually
-   went, probes and recalibrations included.
+5. print the drift-aware run's per-stage breakdown
+   (``engine.obs.breakdown()``) — where a request's time actually went,
+   probes and recalibrations included.
 
 Run:  python examples/lifecycle_serving.py
 """
@@ -108,14 +108,10 @@ def main() -> None:
               f"p99 {1e3 * latency.quantile(0.99):.2f}")
         last_engine = engine
 
-    # The span timeline of the drift-aware run: every enqueue, batch cut,
-    # dispatch, forward, probe, and recalibration as one JSONL record.
-    recorder = last_engine.obs.recorder
-    written = recorder.export_jsonl("lifecycle_trace.jsonl")
-    print(f"\nspan timeline: {written} spans -> lifecycle_trace.jsonl "
-          f"(dropped {recorder.dropped})")
-    print("per-stage breakdown (drift-aware run):")
-    breakdown = recorder.breakdown()
+    # The drift-aware run's stage meters: every enqueue, batch cut,
+    # dispatch, probe, and recalibration, counted exactly.
+    print("\nper-stage breakdown (drift-aware run):")
+    breakdown = last_engine.obs.breakdown()
     for name in sorted(breakdown, key=lambda n: -breakdown[n]["total_s"]):
         stats = breakdown[name]
         print(f"    {name:<22s} x{stats['count']:<5d} "

@@ -51,7 +51,6 @@ class ProgrammedChip:
         self.mapping = mapping
         self._backend_obj = backend_obj
         self._source_model = source_model
-        self._obs = None
         #: Monotone counter of state mutations (refresh, fault pinning).
         #: Derived views of the programmed state — notably the stacked
         #: tensors a :class:`~repro.backends.fused.FusedFleetForward`
@@ -83,42 +82,10 @@ class ProgrammedChip:
         """
         self.version += 1
 
-    def attach_observability(self, obs) -> None:
-        """Profile this chip through ``obs`` (a :class:`repro.obs.Observability`).
-
-        With tracing enabled every :meth:`forward` emits a ``chip.forward``
-        span carrying the chip id, batch rows, and — when the backend has a
-        cost estimator — the batch's per-layer energy attribution, so
-        fleet-level profiles can say which chip and which layer the time
-        and energy went to.  Detach by passing ``None``.
-        """
-        self._obs = obs
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batched inference: float inputs in, float logits out (no autograd)."""
-        obs = self._obs
-        if obs is None or not obs.tracing:
-            with no_grad():
-                return self.mapping(Tensor(np.asarray(x))).data
-        x = np.asarray(x)
-        rows = int(x.shape[0]) if x.ndim else 1
-        with obs.span("chip.forward", chip=self.chip_id, rows=rows) as span:
-            with no_grad():
-                outputs = self.mapping(Tensor(x)).data
-            per_layer = self.layer_energy_uj(x.shape)
-            if per_layer is not None:
-                span.set(energy_uj_per_layer=per_layer)
-            return outputs
-
-    def layer_energy_uj(self, batch_shape: tuple[int, ...]) -> dict | None:
-        """Per-layer estimated energy (uJ) of one ``batch_shape`` batch.
-
-        ``None`` when the owning backend has no cost estimator — same
-        optionality contract as :meth:`cost`.
-        """
-        if self._backend_obj is None or self._source_model is None:
-            return None
-        return self._backend_obj.layer_energy_uj(self._source_model, batch_shape)
+        with no_grad():
+            return self.mapping(Tensor(np.asarray(x))).data
 
     def refresh(self, variation: ChipVariation) -> None:
         """Re-install a (drifted) variation on the already-programmed chip.
@@ -145,8 +112,9 @@ class ProgrammedChip:
     def cost(self, batch_shape: tuple[int, ...]) -> CostReport | None:
         """Estimated physical cost of dispatching one ``batch_shape`` batch.
 
-        Returns ``None`` when the owning backend has no cost estimator
-        wired; callers must treat the hook as optional.
+        The report's ``breakdown`` attributes it per layer.  Returns
+        ``None`` when the owning backend has no cost estimator wired;
+        callers must treat the hook as optional.
         """
         if self._backend_obj is None or self._source_model is None:
             return None
@@ -216,22 +184,6 @@ class ChipBackend:
             return None
         report = self._unit_report(model, batch_shape)
         return report.scaled(max(1, int(batch_shape[0])))
-
-    def layer_energy_uj(self, model, batch_shape: tuple[int, ...]) -> dict | None:
-        """Per-layer energy (uJ) of one ``batch_shape`` batch, JSON-friendly.
-
-        The profiling attribution hook: reads the cached single-inference
-        breakdown and scales by the batch's row count, so calling it per
-        dispatched batch is dict arithmetic, not a model trace.
-        """
-        if self.estimator is None:
-            return None
-        report = self._unit_report(model, batch_shape)
-        rows = max(1, int(batch_shape[0]))
-        return {
-            name: float(layer.energy_uj * rows)
-            for name, layer in report.breakdown.items()
-        }
 
     def describe(self) -> dict:
         """Backend configuration (JSON-friendly)."""

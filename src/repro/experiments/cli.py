@@ -709,11 +709,9 @@ def _print_quality_timeline(engine, max_chips: int = 16) -> None:
         ))
 
 
-def _print_span_breakdown(engine, title: str = "per-stage span breakdown") -> None:
-    """Where serving wall time went, stage by stage (tracing spans)."""
-    breakdown = engine.obs.recorder.breakdown()
-    if not breakdown:
-        return
+def _print_stage_breakdown(engine, title: str) -> None:
+    """Where serving wall time went, stage by stage (the stage meters)."""
+    breakdown = engine.obs.breakdown()
     rows = [
         [name, stats["count"], f"{1e3 * stats['total_s']:.2f}",
          f"{1e3 * stats['mean_s']:.3f}", f"{1e3 * stats['max_s']:.3f}"]
@@ -1070,7 +1068,7 @@ def _cmd_serve_bench(args) -> int:
           f"{telemetry.fused_fallback_batches} fallbacks")
     print(f"telemetry digest: {telemetry.digest()}")
     print()
-    _print_span_breakdown(batched.engine, title="per-stage span breakdown (batched)")
+    _print_stage_breakdown(batched.engine, title="per-stage breakdown (batched)")
     _print_batching_delta(sequential, batched)
     _save(args, f"serve-bench-{args.model}", {
         "policy": args.policy,

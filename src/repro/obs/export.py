@@ -1,10 +1,8 @@
-"""Exporters: Prometheus text dump and span JSONL.
+"""Exporter: the Prometheus text dump.
 
-Two ways the in-memory observability state leaves the process:
-
-* :func:`to_prometheus` — the standard text exposition format, so a
-  scrape endpoint (or a human) can read every registered metric;
-* :meth:`repro.obs.trace.SpanRecorder.export_jsonl` — the span timeline.
+:func:`to_prometheus` renders every registered metric — telemetry and
+stage meters alike — in the standard text exposition format, so a scrape
+endpoint (or a human) can read everything the stack recorded.
 """
 
 from __future__ import annotations

@@ -75,8 +75,8 @@ class CostReport:
         """Costs of ``count`` back-to-back inferences through this deployment.
 
         Energy, latency, and event counts scale with activity; area is the
-        hardware footprint and does not.  The per-layer breakdown is not
-        carried over (it describes one inference).
+        hardware footprint and does not.  The per-layer breakdown scales
+        with the totals.
         """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
@@ -86,6 +86,9 @@ class CostReport:
             area_um2=self.area_um2,
             adc_conversions=self.adc_conversions * count,
             array_reads=self.array_reads * count,
+            breakdown={
+                name: layer.scaled(count) for name, layer in self.breakdown.items()
+            },
         )
 
     def add(self, other: "CostReport", name: str) -> None:

@@ -45,8 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.pim.drift import require_real
 from repro.serve.engine import InferenceEngine, ServedRequest
-from repro.serve.faults import DeadLetter
+from repro.serve.faults import DeadLetter, require_int
 from repro.serve.trace import ReplayTrace
 
 
@@ -95,6 +96,10 @@ class GatewayConfig:
     (:meth:`Gateway.start`): how long the loop sleeps between engine
     ticks; ``0.0`` just yields to the event loop, which is what tests and
     the quickstart want.
+
+    The fields are checked at construction: ``max_queue`` is an int >= 1,
+    ``default_slo`` ``None`` or an int >= 1, and ``tick_seconds`` a finite
+    real >= 0.
     """
 
     max_queue: int = 256
@@ -102,12 +107,10 @@ class GatewayConfig:
     tick_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.default_slo is not None and self.default_slo < 1:
-            raise ValueError(f"default_slo must be >= 1 or None, got {self.default_slo}")
-        if self.tick_seconds < 0.0:
-            raise ValueError("tick_seconds must be >= 0")
+        require_int("max_queue", self.max_queue, minimum=1)
+        if self.default_slo is not None:
+            require_int("default_slo", self.default_slo, minimum=1)
+        require_real("tick_seconds", self.tick_seconds, minimum=0.0)
 
 
 class Gateway:
@@ -169,17 +172,13 @@ class Gateway:
         budget = deadline if deadline is not None else self.config.default_slo
         if budget is not None and budget < 1:
             raise ValueError(f"deadline budget must be >= 1 tick, got {budget}")
-        with engine.obs.span(
-            "admit", tick=engine.now, queue_depth=engine.queue_depth
-        ) as span:
+        with engine.obs.span("admit"):
             depth = engine.queue_depth
             if depth >= self.config.max_queue:
-                span.set(rejected=True)
                 engine.telemetry.record_rejection()
                 raise Overloaded(depth, self.config.max_queue)
             absolute = None if budget is None else engine.now + budget
             request = engine.submit(payload, request_id, deadline=absolute)
-            span.set(request=request.id, deadline=absolute)
         self._arrivals.append(
             (
                 engine.now - self.t0,

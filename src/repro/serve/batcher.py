@@ -94,10 +94,10 @@ class MicroBatcher:
     (the continuous-batching path) lets a full batch dispatch mid-tick,
     the moment its last member arrives.
 
-    ``observer`` is an optional tracing hook called with every cut
-    :class:`Batch` the moment it is formed — the engine wires it to emit
-    a ``batch`` span, so batch-formation shows up on the request timeline
-    without the batcher knowing anything about observability.
+    ``observer`` is an optional hook called with every cut
+    :class:`Batch` the moment it is formed — the engine wires it to count
+    a ``batch`` stage event, without the batcher knowing anything about
+    observability.
     """
 
     def __init__(

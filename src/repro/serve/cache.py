@@ -101,12 +101,9 @@ class MappingCache:
     needs: it returns the cached mapping or invokes ``program`` to build
     it, evicting the least recently used entry when over capacity.
 
-    ``clock`` is the time source programming cost is measured with
-    (injectable — the engine passes its :mod:`repro.obs` clock so tests
-    can drive it deterministically); ``on_program`` is the profiling hook:
-    called as ``on_program(key, seconds)`` after every miss-triggered
-    programming, which is how per-chip program time attributes to spans
-    and histograms without the cache knowing about either.
+    ``clock`` is the time source ``stats.program_seconds`` is measured
+    with (injectable — the engine passes its :mod:`repro.obs` clock so
+    tests can drive it deterministically).
 
     ``on_evict`` is the symmetric spill hook: called as
     ``on_evict(key, mapping)`` after every capacity-pressure eviction (not
@@ -118,7 +115,6 @@ class MappingCache:
     capacity: int | None = None
     stats: CacheStats = field(default_factory=CacheStats)
     clock: Callable[[], float] = time.perf_counter
-    on_program: Callable[[Hashable, float], None] | None = None
     on_evict: Callable[[Hashable, object], None] | None = None
 
     def __post_init__(self) -> None:
@@ -148,10 +144,7 @@ class MappingCache:
             self.stats.cross_backend_misses += 1
         started = self.clock()
         mapping = program()
-        seconds = self.clock() - started
-        self.stats.program_seconds += seconds
-        if self.on_program is not None:
-            self.on_program(key, seconds)
+        self.stats.program_seconds += self.clock() - started
         self._entries[key] = mapping
         if self.capacity is not None:
             while len(self._entries) > self.capacity:

@@ -41,6 +41,7 @@ from repro.datasets.loaders import batch_iterator
 from repro.eval.metrics import topk_accuracy
 from repro.obs import Observability
 from repro.pim.devices import device_by_name
+from repro.pim.drift import require_real
 from repro.quant.ptq import quantized_layers
 from repro.selftuning.tuner import SelfTuningConfig
 from repro.serve.batcher import Batch, MicroBatcher, Request
@@ -67,13 +68,6 @@ class ServeConfig:
     :mod:`repro.backends` name (``"fake-quant"``, ``"circuit"``) or a
     configured :class:`~repro.backends.ChipBackend` instance.  A
     ``FleetSpec.backend`` set on a heterogeneous fleet takes precedence.
-
-    ``tracing`` controls request-scoped span recording (metrics stay on
-    either way): ``True`` collects spans in a bounded in-memory recorder,
-    ``False`` swaps in the :class:`repro.obs.NullRecorder` fast path —
-    the difference is bounded by ``benchmarks/bench_serving.py``.  Ignored
-    when an explicit :class:`repro.obs.Observability` is handed to the
-    engine.
 
     ``retry`` bounds how a failed dispatch is recovered (attempts, backoff,
     hedging, timeout — see :class:`repro.serve.faults.RetryPolicy`);
@@ -119,7 +113,6 @@ class ServeConfig:
     seed: int = 0
     self_tuning: SelfTuningConfig | None = None
     backend: str | ChipBackend = "fake-quant"
-    tracing: bool = True
     retry: RetryPolicy = RetryPolicy()
     health: HealthConfig = HealthConfig()
     continuous: bool = False
@@ -142,6 +135,7 @@ class TechnologyGroup:
     program/verify sigma becomes the spec's sigma and its residual-error
     shape (weight-proportional vs layer-fixed) picks the variance model.
     ``sigma_scale`` rescales the preset sigma (process maturity knob).
+    ``count`` must be an int >= 1 and ``sigma_scale`` a finite real > 0.
     """
 
     device: str
@@ -150,10 +144,8 @@ class TechnologyGroup:
 
     def __post_init__(self) -> None:
         device_by_name(self.device)  # fail fast on typos
-        if self.count < 1:
-            raise ValueError(f"group count must be >= 1, got {self.count}")
-        if self.sigma_scale <= 0.0:
-            raise ValueError("sigma_scale must be positive")
+        require_int("count", self.count, minimum=1)
+        require_real("sigma_scale", self.sigma_scale, minimum=0.0, strict=True)
 
     def variability_spec(self, scenario: str = "mixed") -> VariabilitySpec:
         """The spec this technology's chips are sampled from."""
@@ -207,13 +199,9 @@ class FleetSpec:
             try:
                 count = int(count_text) if count_text else 1
                 scale = float(scale_text) if scale_text else 1.0
+                groups.append(TechnologyGroup(device.strip(), count, scale))
             except ValueError as error:
                 raise ValueError(f"bad fleet group {part!r}: {error}") from None
-            if count < 1:
-                raise ValueError(
-                    f"bad fleet group {part!r}: count must be >= 1, got {count}"
-                )
-            groups.append(TechnologyGroup(device.strip(), count, scale))
         return cls(tuple(groups), scenario=scenario, backend=backend)
 
 
@@ -424,17 +412,12 @@ class InferenceEngine:
         else:
             self.fleet = self._sample_heterogeneous(fleet_spec, config.seed)
         # One observability bundle per engine: the injectable clock every
-        # latency measurement reads, the metrics registry telemetry lives
-        # in, and the span recorder each request stage reports to.
-        self.obs = obs if obs is not None else Observability.default(tracing=config.tracing)
-        self._program_seconds = self.obs.registry.histogram(
-            "serve_program_seconds", "seconds per miss-triggered chip programming",
-            lo=1e-6, hi=1e3,
-        )
+        # latency measurement reads, and the metrics registry telemetry and
+        # the per-stage meters live in.
+        self.obs = obs if obs is not None else Observability()
         self.cache = MappingCache(
             capacity=config.max_resident_chips,
             clock=self.obs.clock.now,
-            on_program=self._on_program,
             on_evict=self._on_evict,
         )
         self.batcher = MicroBatcher(
@@ -514,10 +497,6 @@ class InferenceEngine:
                 )
         return layers[0].qconfig.notation
 
-    def _on_program(self, key: tuple, seconds: float) -> None:
-        """Cache profiling hook: account one miss-triggered programming."""
-        self._program_seconds.observe(seconds)
-
     def _on_evict(self, key: tuple, programmed) -> None:
         """Cache spill hook: a chip's mapping left the cache under
         capacity pressure, so release its realized variation patterns too.
@@ -536,16 +515,11 @@ class InferenceEngine:
             return
         chip.spill()
         self.cache.stats.spills += 1
-        self.obs.event("chip.spill", chip=chip.chip_id, tick=self.now)
+        self.obs.event("chip.spill")
 
     def _on_batch_formed(self, batch: Batch) -> None:
-        """Batcher tracing hook: one event per cut batch."""
-        self.obs.event(
-            "batch",
-            size=batch.size,
-            formed=batch.formed,
-            wait_ticks=batch.max_queue_ticks(),
-        )
+        """Batcher observer hook: one ``batch`` event per cut batch."""
+        self.obs.event("batch")
 
     def _program(self, chip: FleetChip) -> ProgrammedChip:
         """Write the chip through the backend: the expensive step the
@@ -553,11 +527,10 @@ class InferenceEngine:
 
         Per-layer epsilon draws are cached inside the
         :class:`ChipVariation`, so reprogramming after an eviction
-        reproduces the exact same physical chip — on either backend.
+        reproduces the exact same physical chip — on either backend.  The
+        ``program`` stage meter times all of it, sticky faults included.
         """
-        with self.obs.span(
-            "program", chip=chip.chip_id, backend=self.backend.name
-        ) as span:
+        with self.obs.span("program"):
             programmed = self.backend.program(
                 self.model,
                 chip.variation,
@@ -565,16 +538,14 @@ class InferenceEngine:
                 chip_id=chip.chip_id,
                 self_tuning=self.config.self_tuning,
             )
-            span.set(layers=programmed.describe().get("quantized_layers"))
-        programmed.attach_observability(self.obs)
-        sticky = self.sticky_faults(chip)
-        if sticky is not None:
-            # Stuck cells are physical damage: reprogramming (recalibration,
-            # cache eviction) rewrites the healthy cells but the stuck ones
-            # stay pinned, so the fault map is re-applied on every program.
-            fault_spec, fault_seed = sticky
-            programmed.apply_faults(fault_spec, seed=fault_seed)
-            programmed.refresh(chip.variation)
+            sticky = self.sticky_faults(chip)
+            if sticky is not None:
+                # Stuck cells are physical damage: reprogramming (recalibration,
+                # cache eviction) rewrites the healthy cells but the stuck ones
+                # stay pinned, so the fault map is re-applied on every program.
+                fault_spec, fault_seed = sticky
+                programmed.apply_faults(fault_spec, seed=fault_seed)
+                programmed.refresh(chip.variation)
         chip.mapping_stale = False  # programmed from the chip's current state
         return programmed
 
@@ -648,9 +619,8 @@ class InferenceEngine:
         # seeing the sticky entry, once below).
         programmed = self.programmed_for(chip)
         self._sticky_faults[chip.chip_id] = (spec, int(seed))
-        with self.obs.span("faults.inject", chip=chip.chip_id) as span:
+        with self.obs.span("faults.inject"):
             stuck = programmed.apply_faults(spec, seed=int(seed))
-            span.set(stuck=stuck)
         # Re-install the chip's variation on top of the mutated programmed
         # state (the circuit backend rewrites its tiles here).
         programmed.refresh(chip.variation)
@@ -705,18 +675,12 @@ class InferenceEngine:
         slot = self.fleet.index(chip)
         self.fleet[slot] = replacement
         self.retired.append(chip)
-        invalidated = self.cache.invalidate_chip(chip.chip_id)
+        self.cache.invalidate_chip(chip.chip_id)
         self._sticky_faults.pop(chip.chip_id, None)
         self.health.mark_replaced(chip, self.now, reason=reason)
         self.health.adopt(replacement)
         self.telemetry.record_replacement(chip.chip_id, replacement.chip_id, self.now)
-        self.obs.event(
-            "chip.replaced",
-            old=chip.chip_id,
-            new=replacement.chip_id,
-            tick=self.now,
-            invalidated=invalidated,
-        )
+        self.obs.event("chip.replaced")
         for hook in self.on_chip_replaced:
             hook(chip, replacement)
         return replacement
@@ -784,7 +748,7 @@ class InferenceEngine:
         repeatable measurement without the programmed chip in hand.
         """
         self.telemetry.record_probe()
-        with self.obs.span("probe", chip=chip.chip_id) as span:
+        with self.obs.span("probe"):
             programmed = self.programmed_for(chip)
             shared = stack is not None and stack.covers([programmed])
             forward = (
@@ -798,7 +762,6 @@ class InferenceEngine:
                 np.concatenate(logits), np.concatenate(targets), k=k
             )
             chip.probe_deterministic = programmed.deterministic
-            span.set(quality=chip.quality, shared=shared)
         return chip.quality
 
     # ------------------------------------------------------------------
@@ -835,7 +798,7 @@ class InferenceEngine:
             return request
         self._submit_walls[request.id] = self.obs.clock.now()
         self._first_arrival.setdefault(request.id, self.now)
-        self.obs.event("enqueue", request=request.id, tick=self.now)
+        self.obs.event("enqueue")
         self.batcher.submit(request)
         if self.config.continuous:
             self._dispatch_tick(self.batcher.ready(self.now))
@@ -890,12 +853,11 @@ class InferenceEngine:
         if key == self._fused_failed_key:
             return None
         try:
-            with self.obs.span("dispatch.fuse", chips=len(members)) as span:
+            with self.obs.span("dispatch.fuse"):
                 self._fused = FusedFleetForward.build(members)
-                span.set(backend=self._fused.backend)
-        except UnstackableError as reason:
+        except UnstackableError:
             self._fused_failed_key = key
-            self.obs.event("fuse.unstackable", reason=str(reason))
+            self.obs.event("fuse.unstackable")
             return None
         self._fused_failed_key = None
         return self._fused
@@ -923,7 +885,7 @@ class InferenceEngine:
             served.extend(self._execute_per_chip(batch))
         return served
 
-    def _stage(self, batch: Batch, span) -> tuple[Batch, FleetChip] | None:
+    def _stage(self, batch: Batch) -> tuple[Batch, FleetChip] | None:
         """Admit one due batch to the fleet: shed, report, schedule.
 
         Requests whose deadline lapsed in the queue are dead-lettered —
@@ -932,8 +894,7 @@ class InferenceEngine:
         their ``queue_wait`` and the policy picks a chip from the
         dispatchable fleet.  Returns ``(live batch, chip)``, or ``None``
         when nothing is left to execute: every request was shed, or no chip
-        can serve (the batch is parked for retry and the caller's ``span``
-        is marked failed).
+        can serve (the batch is parked for retry).
         """
         obs = self.obs
         live = []
@@ -951,22 +912,13 @@ class InferenceEngine:
             return None
         if len(live) != len(batch.requests):
             batch = Batch(live, formed=batch.formed)
-        obs.event(
-            "queue_wait",
-            batch=batch.size,
-            wait_ticks=batch.max_queue_ticks(),
-            headroom=batch.headroom(),
-            tick=self.now,
-        )
-        with obs.span("schedule", policy=self.policy.name) as schedule_span:
+        obs.event("queue_wait")
+        with obs.span("schedule"):
             candidates = dispatchable(self.fleet)
             if not candidates:
-                schedule_span.set(chip=None)
-                span.set(failed="no-capacity")
                 self._handle_failed_batch(batch, cause="no-capacity")
                 return None
             chip = self.policy.choose(batch, candidates)
-            schedule_span.set(chip=chip.chip_id)
         return batch, chip
 
     def _execute_per_chip(self, batch: Batch) -> list[ServedRequest]:
@@ -978,33 +930,25 @@ class InferenceEngine:
         successful forward.
         """
         obs = self.obs
-        with obs.span("dispatch", tick=self.now, batch=batch.size) as span:
-            staged = self._stage(batch, span)
+        with obs.span("dispatch"):
+            staged = self._stage(batch)
             if staged is None:
                 return []
             batch, chip = staged
-            span.set(batch=batch.size)
             inputs = batch.inputs()
             outcome = self._attempt(chip, batch, inputs)
             if outcome is None and self.config.retry.hedge:
                 backup = self._hedge_candidate(chip)
                 if backup is not None:
                     self.telemetry.record_hedge(chip.chip_id, backup.chip_id)
-                    obs.event(
-                        "hedge",
-                        primary=chip.chip_id,
-                        backup=backup.chip_id,
-                        tick=self.now,
-                    )
+                    obs.event("hedge")
                     outcome = self._attempt(backup, batch, inputs)
                     if outcome is not None:
                         chip = backup
             if outcome is None:
-                span.set(chip=chip.chip_id, failed=self._last_fault_kind)
                 self._handle_failed_batch(batch, cause=self._last_fault_kind)
                 return []
             outputs, seconds, energy_uj = outcome
-            span.set(chip=chip.chip_id, seconds=seconds, energy_uj=energy_uj)
         return self._complete(batch, chip, outputs, seconds, energy_uj)
 
     def _execute_fused(self, fused: FusedFleetForward, batches) -> list[ServedRequest]:
@@ -1018,22 +962,19 @@ class InferenceEngine:
         """
         clock = self.obs.clock
         served: list[ServedRequest] = []
-        with self.obs.span(
-            "dispatch.fused", tick=self.now, batches=len(batches)
-        ) as span:
+        with self.obs.span("dispatch.fused"):
             staged = []
             for batch in batches:
-                admitted = self._stage(batch, span)
+                admitted = self._stage(batch)
                 if admitted is None:
                     continue
                 batch, chip = admitted
-                with self.obs.span("mapping", chip=chip.chip_id):
+                with self.obs.span("mapping"):
                     programmed = self.programmed_for(chip)
                 inputs = batch.inputs()
                 energy_uj = self._book(chip, programmed, batch, inputs)
                 staged.append((batch, chip, programmed, inputs, energy_uj))
             if not staged:
-                span.set(staged=0)
                 return served
             members = [programmed for _, _, programmed, _, _ in staged]
             if not fused.covers(members):
@@ -1047,7 +988,6 @@ class InferenceEngine:
                 )
                 total_seconds = clock.now() - started
                 self.telemetry.record_fused_group(len(staged))
-                span.set(staged=len(staged), seconds=total_seconds)
                 total_rows = sum(batch.size for batch, _, _, _, _ in staged)
                 for (batch, chip, _, _, energy_uj), out in zip(staged, outputs):
                     # Attribute wall time by row share: service-time
@@ -1060,7 +1000,6 @@ class InferenceEngine:
                 # Unstackable after staging: finish each staged batch on
                 # its own chip (the assignments are already final).
                 self.telemetry.record_fused_fallback(len(staged))
-                span.set(staged=len(staged), fallback=True)
                 for batch, chip, programmed, inputs, energy_uj in staged:
                     started = clock.now()
                     out = programmed.forward(inputs)
@@ -1140,7 +1079,7 @@ class InferenceEngine:
         """
         clock = self.obs.clock
         try:
-            with self.obs.span("mapping", chip=chip.chip_id):
+            with self.obs.span("mapping"):
                 programmed = self.programmed_for(chip)
             penalty = 0.0
             if self.faults is not None:
@@ -1152,10 +1091,7 @@ class InferenceEngine:
             self._last_fault_kind = fault.kind
             chip.fault_events += 1
             self.telemetry.record_fault(fault.kind, chip.chip_id)
-            self.obs.event(
-                "fault", kind=fault.kind, chip=chip.chip_id, tick=self.now,
-                batch=batch.size,
-            )
+            self.obs.event("fault")
             if fault.kind == "dead":
                 self.retire_dead(chip)
             else:
@@ -1200,10 +1136,7 @@ class InferenceEngine:
         self.telemetry.record_dead_letter(reason)
         if reason == "deadline" and request.deadline is not None:
             self.telemetry.record_deadline(self.now, request.deadline - self.now)
-        self.obs.event(
-            "dead-letter", request=request.id, reason=reason, cause=cause,
-            tick=self.now,
-        )
+        self.obs.event("dead-letter")
 
     def _handle_failed_batch(self, batch: Batch, cause: str) -> None:
         """Park each request for a backoff retry, or dead-letter it.
@@ -1229,10 +1162,7 @@ class InferenceEngine:
                 release = self.now + retry.backoff_for(cycles)
                 self._parked.append((release, request))
                 self.telemetry.record_retry()
-                self.obs.event(
-                    "retry", request=request.id, attempt=cycles, release=release,
-                    tick=self.now,
-                )
+                self.obs.event("retry")
 
     def _unpark(self) -> None:
         """Resubmit parked requests whose backoff has elapsed.

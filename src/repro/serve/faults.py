@@ -235,12 +235,7 @@ class FaultInjector:
         self._cursor = 0
         self._installed = True
         self.engine.faults = self
-        self.engine.obs.event(
-            "chaos.install",
-            events=len(self._schedule),
-            seed=plan.seed,
-            transient_rate=plan.transient_rate,
-        )
+        self.engine.obs.event("chaos.install")
         return list(self._schedule)
 
     @property
@@ -273,7 +268,7 @@ class FaultInjector:
         chip = engine.chip_by_id(event.chip_id)
         if chip is None:  # victim already replaced under an earlier event
             return
-        engine.obs.event("fault.scheduled", kind=event.kind, chip=event.chip_id, tick=tick)
+        engine.obs.event("fault.scheduled")
         if event.kind == "death":
             self._dead.add(event.chip_id)
             engine.telemetry.record_fault("death", event.chip_id)
@@ -311,9 +306,7 @@ class FaultInjector:
                 # for latency-aware scheduling here instead.
                 chip.fault_events = getattr(chip, "fault_events", 0) + 1
                 self.engine.telemetry.record_fault("latency-spike", chip.chip_id)
-                self.engine.obs.event(
-                    "fault.latency", chip=chip.chip_id, seconds=self.plan.latency_seconds
-                )
+                self.engine.obs.event("fault.latency")
                 return self.plan.latency_seconds
         return 0.0
 

@@ -27,7 +27,7 @@ with hysteresis in both directions:
 Lifecycle probes feed the same machine through :meth:`HealthMonitor.on_probe`
 (a probe below ``probe_floor`` counts as a failure signal), so slow quality
 collapse and discrete faults drive one shared state.  Every transition is
-recorded (and mirrored to telemetry + the span recorder), making the
+recorded (and mirrored to telemetry + the ``health`` stage meter), making the
 health history of a run auditable after the fact.
 
 Only :const:`SERVING_STATES` receive traffic — the scheduler-side filter
@@ -168,14 +168,7 @@ class HealthMonitor:
         if self.telemetry is not None:
             self.telemetry.record_health_transition(transition)
         if self.obs is not None:
-            self.obs.event(
-                "health",
-                chip=record.chip_id,
-                source=transition.source,
-                target=target,
-                reason=reason,
-                tick=transition.tick,
-            )
+            self.obs.event("health")
 
     # ------------------------------------------------------------------
     # Signals

@@ -379,9 +379,7 @@ class ChipLifecycle:
         qualities = {chip.chip_id: self._recall(chip) for chip in chips}
         unknown = [chip for chip in chips if qualities[chip.chip_id] is None]
         if unknown:
-            with self.engine.obs.span(
-                "lifecycle.probe", chips=len(unknown), time=self.time
-            ):
+            with self.engine.obs.span("lifecycle.probe"):
                 probed = self.engine.probe_fleet(
                     self._probe_data, k=self.config.probe_k, chips=unknown
                 )
@@ -560,11 +558,8 @@ class ChipLifecycle:
             seed=self._drift_seed(chip, cycle=chip.recalibrations),
         )
         chip.age = 0.0
-        with self.engine.obs.span(
-            "lifecycle.recalibrate", chip=chip.chip_id, time=self.time
-        ) as span:
+        with self.engine.obs.span("lifecycle.recalibrate"):
             invalidated = self.engine.reprogram(chip)
-            span.set(invalidated=invalidated)
         self._written[chip.chip_id] = self.engine.sticky_faults(chip)
         quality_after = self._recall(chip)
         if quality_after is None:

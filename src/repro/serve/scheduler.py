@@ -78,22 +78,6 @@ class SchedulingPolicy:
     def reset(self) -> None:
         """Forget any internal dispatch state (new serving session)."""
 
-    def describe(self) -> dict:
-        """JSON-friendly policy identity + configuration.
-
-        Used by observability (``schedule`` span attributes, the
-        ``BENCH_*.json`` scale block) so a recorded run names the exact
-        dispatch configuration it measured.  Public scalar attributes are
-        included generically; private dispatch state (``_cursor`` etc.)
-        is not — it is run state, not configuration.
-        """
-        config = {
-            key: value
-            for key, value in vars(self).items()
-            if not key.startswith("_") and isinstance(value, (int, float, str, bool))
-        }
-        return {"policy": self.name, **config}
-
 
 class RoundRobinPolicy(SchedulingPolicy):
     """Cycle through the pool in chip-index order."""

@@ -421,8 +421,8 @@ class ServeTelemetry:
 
         The fused-parity contract in one hash: a ``fused=True`` and a
         ``fused=False`` run of the same seeded workload must produce the
-        same digest, because fusion may change wall-clock timing and span
-        structure but never what was served, by whom, in which batches,
+        same digest, because fusion may change wall-clock timing and which
+        stage meters fire but never what was served, by whom, in which batches,
         with what queueing, energy, SLO, or fault outcomes.  Wall-time
         histograms (service/request seconds), the fused counters and the
         probe counters (how a quality was measured, not what it was) are
@@ -490,9 +490,10 @@ class ServeTelemetry:
     def report(self) -> dict:
         """Plain-dict snapshot (JSON-friendly, used by the CLI result store).
 
-        Backwards compatible with the pre-``repro.obs`` layout (every old
-        key is still present) plus the quantile sections (``latency``,
-        per-meter p50/p95/p99) and, when a cache is attached, ``cache``.
+        Counts, meter sections with p50/p95/p99 (``queue_ticks``,
+        ``service_seconds_per_batch``, ``latency``), energy, lifecycle,
+        SLO, fused, probe and fault sections and, when a cache is
+        attached, ``cache``.
         """
         report = {
             "requests": self.requests,

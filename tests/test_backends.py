@@ -310,6 +310,19 @@ class TestCostHook:
         assert np.isclose(eight.energy_pj, 8 * one.energy_pj)
         assert eight.area_um2 == one.area_um2  # hardware footprint is fixed
 
+    def test_cost_breaks_energy_down_per_layer(self, golden):
+        model, _ = golden
+        spec = _spec()
+        programmed = FakeQuantBackend().program(model, _chip(spec), spec=spec)
+        one = programmed.cost((1, 1, 28, 28))
+        eight = programmed.cost((8, 1, 28, 28))
+        assert one.breakdown and set(eight.breakdown) == set(one.breakdown)
+        assert sum(layer.energy_pj for layer in eight.breakdown.values()) == (
+            pytest.approx(eight.energy_pj)
+        )
+        for name, layer in eight.breakdown.items():
+            assert np.isclose(layer.energy_pj, 8 * one.breakdown[name].energy_pj)
+
     def test_costless_backend_returns_none(self, golden):
         model, _ = golden
         spec = _spec()

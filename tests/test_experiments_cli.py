@@ -342,6 +342,16 @@ class TestCliEndToEnd:
         record = ResultStore(str(tmp_path)).load(name)
         assert record["telemetry"]["probes"]["run"] > 0
 
+    @pytest.mark.parametrize("fleet", ["rram:2@nan", "rram:2@inf"])
+    def test_serve_bench_rejects_non_finite_fleet_sigma(self, tmp_path, fleet):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-bench", "--skip-training", "--fleet", fleet,
+                  "--requests", "8", "--results-dir", str(tmp_path)])
+        message = excinfo.value.code
+        assert isinstance(message, str)  # a message exits with status 1
+        assert "sigma_scale" in message
+        assert not any(tmp_path.iterdir())
+
     def test_serve_bench_compares_same_chip_requests_only(self, tmp_path, capsys):
         code = main(["serve-bench", "--skip-training", "--num-chips", "1",
                      "--requests", "48", "--results-dir", str(tmp_path)])

@@ -1,12 +1,14 @@
-"""Observability-in-the-engine tests: overhead bound, determinism, JSON.
+"""Observability-in-the-engine tests: call counts, stage coverage, JSON.
 
 The contract this file enforces:
 
-* tracing never changes serving results — only what gets recorded;
-* the disabled (``NullRecorder``) path is cheap: a request triggers a
-  fixed, small number of no-op obs calls (their cost against service
-  time is timed in ``benchmarks/bench_serving.py``);
-* every stage of a request's life shows up as a span when tracing is on;
+* the stage meters never change serving results — only what gets recorded;
+* the always-on path is cheap: a request triggers a fixed, small number
+  of ``span``/``event`` calls (their cost against service time is timed
+  in ``benchmarks/bench_serving.py``, which counts them with
+  :class:`CountingObservability`);
+* every stage of a request's life shows up in ``obs.breakdown()``, and
+  its counts are exact on a 4,096-request run;
 * ``ServeTelemetry.report()`` is pure-JSON (no numpy scalars leak), and a
   ``FakeClock`` makes the whole latency path exactly reproducible.
 """
@@ -20,11 +22,11 @@ from repro.datasets.loaders import batch_iterator
 from repro.datasets.synthetic import make_pattern_dataset
 from repro.models import build_model
 from repro.nn import init
-from repro.obs import FakeClock, NullRecorder, Observability, SpanRecorder
+from repro.obs import FakeClock, Observability
 from repro.quant.calibration import calibrate_model
 from repro.quant.ptq import convert_to_quantized
 from repro.quant.qconfig import QConfig
-from repro.serve import InferenceEngine, ServeConfig
+from repro.serve import InferenceEngine, ServeConfig, UniformTrace
 from repro.variability.models import WeightProportionalVariance
 from repro.variability.sampler import VariabilitySpec
 
@@ -57,125 +59,141 @@ def _workload(dataset, requests=32):
     return workload, ids
 
 
-class TestTracingNeverChangesResults:
-    def test_outputs_identical_with_tracing_on_and_off(self, served_model):
-        model, dataset = served_model
-        workload, ids = _workload(dataset)
-        traced = _engine(model, tracing=True).run(workload, ids=ids)
-        untraced = _engine(model, tracing=False).run(workload, ids=ids)
-        assert all(np.array_equal(traced[rid], untraced[rid]) for rid in ids)
+class CountingObservability(Observability):
+    """Observability that counts the ``span``/``event`` calls made on it.
 
-    def test_config_flag_selects_recorder(self, served_model):
-        model, _ = served_model
-        assert isinstance(_engine(model, tracing=True).obs.recorder, SpanRecorder)
-        assert isinstance(_engine(model, tracing=False).obs.recorder, NullRecorder)
-
-
-class _CountingObservability(Observability):
-    """Disabled observability that counts the span/event calls made on it."""
+    ``calls`` counts both kinds, ``spans`` the ``span`` calls alone.
+    """
 
     def __init__(self) -> None:
-        super().__init__(tracing=False)
+        super().__init__()
         self.calls = 0
+        self.spans = 0
 
-    def span(self, name: str, **attrs):
+    def span(self, name: str):
         self.calls += 1
-        return super().span(name, **attrs)
+        self.spans += 1
+        return super().span(name)
 
-    def event(self, name: str, **attrs) -> None:
+    def event(self, name: str) -> None:
         self.calls += 1
-        super().event(name, **attrs)
+        super().event(name)
 
 
-class TestDisabledPathOverhead:
+class TestMetersNeverChangeResults:
+    def test_outputs_identical_under_any_obs_clock(self, served_model):
+        model, dataset = served_model
+        workload, ids = _workload(dataset)
+        wall = _engine(model).run(workload, ids=ids)
+        fake = _engine(model, obs=Observability(clock=FakeClock(step=1e-3)))
+        virtual = fake.run(workload, ids=ids)
+        assert all(np.array_equal(wall[rid], virtual[rid]) for rid in ids)
+
+    def test_engine_owns_an_observability_by_default(self, served_model):
+        model, _ = served_model
+        engine = _engine(model)
+        assert isinstance(engine.obs, Observability)
+        assert engine.telemetry.registry is engine.obs.registry
+
+
+class TestObsCallCount:
     def test_null_obs_call_count_per_request(self, served_model):
-        """Per-chip dispatch with tracing off makes one ``enqueue`` event per
-        request, plus ``batch`` and ``queue_wait`` events and ``dispatch``,
-        ``schedule`` and ``mapping`` spans per batch — nothing else."""
+        """Per-chip dispatch makes one ``enqueue`` event per request, plus
+        ``batch`` and ``queue_wait`` events and ``dispatch``, ``schedule``
+        and ``mapping`` spans per batch — nothing else."""
         model, dataset = served_model
         workload, ids = _workload(dataset, requests=64)
-        obs = _CountingObservability()
+        obs = CountingObservability()
         engine = _engine(model, obs=obs, fused=False)
         engine.warm_up()
-        obs.calls = 0
+        obs.calls = obs.spans = 0
         engine.run(workload, ids=ids)
         batches = engine.telemetry.batches
         assert batches == 8
         assert obs.calls == len(ids) + 5 * batches == 104
+        assert obs.spans == 3 * batches
 
-    def test_disabled_tracing_records_nothing(self, served_model):
+
+class TestStageCoverage:
+    def test_every_stage_appears_in_the_breakdown(self, served_model):
+        """Per-chip dispatch (``fused=False``) meters the full stage chain."""
         model, dataset = served_model
         workload, ids = _workload(dataset)
-        engine = _engine(model, tracing=False)
+        engine = _engine(model, fused=False)
         engine.run(workload, ids=ids)
-        assert len(engine.obs.recorder) == 0
-        # Metrics still flow when tracing is off.
-        assert engine.telemetry.requests == len(ids)
-        assert engine.telemetry.report()["latency"]["count"] == len(ids)
+        breakdown = engine.obs.breakdown()
+        for stage in ("enqueue", "batch", "queue_wait", "dispatch", "schedule",
+                      "mapping", "program"):
+            assert breakdown[stage]["count"] > 0, f"no {stage!r} recorded"
+        assert breakdown["enqueue"]["count"] == len(ids)
+        assert breakdown["program"]["count"] == engine.cache.stats.misses
 
-
-class TestSpanCoverage:
-    def test_every_stage_appears_in_the_trace(self, served_model):
-        """Per-chip dispatch (``fused=False``) emits the full span chain."""
-        model, dataset = served_model
-        workload, ids = _workload(dataset)
-        engine = _engine(model, tracing=True, fused=False)
-        engine.run(workload, ids=ids)
-        recorder = engine.obs.recorder
-        for stage in (
-            "enqueue", "batch", "dispatch", "schedule", "mapping",
-            "program", "chip.forward",
-        ):
-            assert recorder.named(stage), f"no {stage!r} spans recorded"
-        assert len(recorder.named("enqueue")) == len(ids)
-        dispatch = recorder.named("dispatch")[0]
-        assert dispatch.attrs["chip"].startswith("chip")
-        assert dispatch.attrs["energy_uj"] > 0.0
-        forward = recorder.named("chip.forward")[0]
-        assert forward.attrs["energy_uj_per_layer"]
-
-    def test_fused_stages_appear_in_the_trace(self, served_model):
+    def test_fused_stages_appear_in_the_breakdown(self, served_model):
         """Fused dispatch (the default) swaps per-batch ``dispatch`` spans
         for one ``dispatch.fused`` group span (plus ``dispatch.fuse`` for
         the stack build); the per-request stages are unchanged."""
         model, dataset = served_model
         workload, ids = _workload(dataset)
-        engine = _engine(model, tracing=True)
+        engine = _engine(model)
         # The stack builds from cache-resident chips only, so a cold
         # fleet's first tick dispatches per-chip; warm up as a real
         # deployment would.
         engine.warm_up()
         engine.run(workload, ids=ids)
-        recorder = engine.obs.recorder
-        for stage in (
-            "enqueue", "batch", "schedule", "mapping", "program",
-            "dispatch.fuse", "dispatch.fused",
-        ):
-            assert recorder.named(stage), f"no {stage!r} spans recorded"
-        group = recorder.named("dispatch.fused")[0]
-        assert group.attrs["batches"] > 1
-        assert engine.telemetry.fused_groups == len(recorder.named("dispatch.fused"))
+        breakdown = engine.obs.breakdown()
+        for stage in ("enqueue", "batch", "schedule", "mapping", "program",
+                      "dispatch.fuse", "dispatch.fused"):
+            assert breakdown[stage]["count"] > 0, f"no {stage!r} recorded"
+        assert engine.telemetry.fused_groups == breakdown["dispatch.fused"]["count"]
 
     def test_breakdown_covers_dispatch_time(self, served_model):
         model, dataset = served_model
         workload, ids = _workload(dataset)
-        engine = _engine(model, tracing=True, fused=False)
+        engine = _engine(model, fused=False)
         engine.run(workload, ids=ids)
-        breakdown = engine.obs.recorder.breakdown()
+        breakdown = engine.obs.breakdown()
         # The dispatch span wraps schedule + mapping + forward.
-        inner = sum(
-            breakdown[stage]["total_s"]
-            for stage in ("schedule", "mapping", "chip.forward")
-            if stage in breakdown
-        )
+        inner = breakdown["schedule"]["total_s"] + breakdown["mapping"]["total_s"]
         assert breakdown["dispatch"]["total_s"] >= inner
+
+
+class TestStageCountsExact:
+    """Stage counts equal the request and batch counts on a 4,096-request
+    run — more spans than any bounded span buffer of 4,096 would keep."""
+
+    REQUESTS = 4096
+
+    def _run(self, model, dataset, **config):
+        workload, ids = _workload(dataset, requests=self.REQUESTS)
+        engine = _engine(model, **config)
+        engine.warm_up()
+        outputs = engine.run_trace(workload, UniformTrace(rate=16.0), ids=ids)
+        assert len(outputs) == self.REQUESTS
+        return engine, engine.obs.breakdown()
+
+    def test_per_chip_counts(self, served_model):
+        engine, stages = self._run(*served_model, fused=False)
+        batches = engine.telemetry.batches
+        assert batches == self.REQUESTS // 8
+        assert stages["enqueue"]["count"] == self.REQUESTS
+        for stage in ("batch", "queue_wait", "schedule", "mapping", "dispatch"):
+            assert stages[stage]["count"] == batches, stage
+
+    def test_fused_counts(self, served_model):
+        engine, stages = self._run(*served_model)
+        telemetry = engine.telemetry
+        assert telemetry.fused_groups == self.REQUESTS // 16
+        assert stages["enqueue"]["count"] == self.REQUESTS
+        for stage in ("batch", "queue_wait", "schedule", "mapping"):
+            assert stages[stage]["count"] == telemetry.batches, stage
+        assert stages["dispatch.fused"]["count"] == telemetry.fused_groups
 
 
 class TestTelemetryJson:
     def test_report_json_round_trips_without_numpy(self, served_model):
         model, dataset = served_model
         workload, ids = _workload(dataset)
-        engine = _engine(model, tracing=True)
+        engine = _engine(model)
         engine.probe_fleet(dataset)
         engine.run(workload, ids=ids)
         report = engine.telemetry.report()
@@ -204,24 +222,27 @@ class TestFakeClockDeterminism:
         workload, ids = _workload(dataset)
 
         def run():
-            obs = Observability(tracing=True, clock=FakeClock(step=1e-3))
+            obs = Observability(clock=FakeClock(step=1e-3))
             engine = _engine(model, obs=obs)
             engine.run(workload, ids=ids)
-            return engine.telemetry.report()
+            return engine.telemetry.report(), engine.obs.breakdown()
 
         first, second = run(), run()
-        assert first["latency"] == second["latency"]
-        assert first["service_seconds_per_batch"] == second["service_seconds_per_batch"]
-        assert first["latency"]["p99"] > 0.0
+        assert first[0]["latency"] == second[0]["latency"]
+        assert first[0]["service_seconds_per_batch"] == second[0]["service_seconds_per_batch"]
+        assert first[0]["latency"]["p99"] > 0.0
+        assert first[1] == second[1]
 
-    def test_fake_clock_drives_span_durations(self, served_model):
+    def test_fake_clock_drives_stage_totals(self, served_model):
         model, dataset = served_model
         workload, ids = _workload(dataset)
-        obs = Observability(tracing=True, clock=FakeClock(step=1e-3))
-        engine = _engine(model, obs=obs)
+        step = 1e-3
+        engine = _engine(model, obs=Observability(clock=FakeClock(step=step)))
         engine.run(workload, ids=ids)
-        for span in engine.obs.recorder.named("chip.forward"):
-            # Every duration is an exact multiple of the virtual step.
-            steps = span.duration / 1e-3
-            assert steps == pytest.approx(round(steps))
-            assert span.duration > 0.0
+        breakdown = engine.obs.breakdown()
+        for stage, stats in breakdown.items():
+            # Every total is a whole number of virtual steps.
+            steps = stats["total_s"] / step
+            assert steps == pytest.approx(round(steps)), stage
+        for stage in ("program", "mapping", "schedule"):
+            assert breakdown[stage]["total_s"] >= breakdown[stage]["count"] * step

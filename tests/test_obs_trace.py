@@ -1,7 +1,4 @@
-"""Unit tests for repro.obs tracing, clocks, and exporters."""
-
-import io
-import json
+"""Unit tests for repro.obs stage meters, clocks, and exporters."""
 
 import pytest
 
@@ -9,10 +6,7 @@ from repro.obs import (
     FakeClock,
     MetricsRegistry,
     MonotonicClock,
-    NULL_SPAN,
-    NullRecorder,
     Observability,
-    SpanRecorder,
     to_prometheus,
 )
 
@@ -40,120 +34,92 @@ class TestClocks:
             FakeClock().advance(-1.0)
 
 
-class TestSpanRecorder:
-    def test_span_measures_fake_clock_exactly(self):
-        recorder = SpanRecorder(clock=FakeClock(step=0.25))
-        with recorder.span("forward", chip="chip00") as span:
-            span.set(rows=8)
-        [recorded] = recorder.spans
-        assert recorded.name == "forward"
-        assert recorded.duration == 0.25  # exactly one step between reads
-        assert recorded.attrs == {"chip": "chip00", "rows": 8}
+class TestStageMeters:
+    def test_span_times_into_a_stage_histogram(self):
+        obs = Observability(clock=FakeClock(step=0.25))
+        with obs.span("forward"):
+            pass
+        histogram = obs.registry.get("stage_forward")
+        assert histogram.kind == "histogram"
+        assert histogram.count == 1
+        assert histogram.total == 0.25  # exactly one step between reads
 
-    def test_event_is_zero_duration(self):
-        recorder = SpanRecorder(clock=FakeClock(step=1.0))
-        recorder.event("enqueue", request="r0")
-        [span] = recorder.spans
-        assert span.duration == 0.0
-        assert span.as_dict()["request"] == "r0"
+    def test_event_counts_into_a_stage_counter(self):
+        obs = Observability(clock=FakeClock(step=1.0))
+        obs.event("enqueue")
+        obs.event("enqueue")
+        counter = obs.registry.get("stage_enqueue")
+        assert counter.kind == "counter"
+        assert counter.value == 2
 
-    def test_bounded_with_dropped_counter(self):
-        recorder = SpanRecorder(clock=FakeClock(), max_spans=3)
-        for index in range(5):
-            recorder.event(f"e{index}")
-        assert len(recorder) == 3
-        assert recorder.dropped == 2
-        assert [span.name for span in recorder.spans] == ["e2", "e3", "e4"]
+    def test_each_stage_name_registers_one_meter(self):
+        obs = Observability()
+        for _ in range(3):
+            with obs.span("schedule"):
+                pass
+            obs.event("batch")
+        assert obs.registry.names == ["stage_batch", "stage_schedule"]
 
-    def test_named_filters(self):
-        recorder = SpanRecorder(clock=FakeClock())
-        recorder.event("a")
-        recorder.event("b")
-        recorder.event("a")
-        assert len(recorder.named("a")) == 2
+    def test_span_exited_by_exception_is_timed(self):
+        obs = Observability(clock=FakeClock(step=0.5))
+        with pytest.raises(RuntimeError):
+            with obs.span("admit"):
+                raise RuntimeError("overloaded")
+        assert obs.breakdown()["admit"]["count"] == 1
+        assert obs.breakdown()["admit"]["total_s"] == 0.5
+
+    def test_one_name_cannot_be_span_and_event(self):
+        obs = Observability()
+        obs.event("probe")
+        with pytest.raises(TypeError):
+            obs.span("probe")
 
     def test_breakdown_aggregates_per_stage(self):
-        recorder = SpanRecorder(clock=FakeClock(step=0.1))
+        obs = Observability(clock=FakeClock(step=0.1))
         for _ in range(3):
-            with recorder.span("forward"):
+            with obs.span("forward"):
                 pass
-        breakdown = recorder.breakdown()
+        obs.event("enqueue")
+        breakdown = obs.breakdown()
         assert breakdown["forward"]["count"] == 3
         assert breakdown["forward"]["total_s"] == pytest.approx(0.3)
         assert breakdown["forward"]["mean_s"] == pytest.approx(0.1)
         assert breakdown["forward"]["max_s"] == pytest.approx(0.1)
+        assert breakdown["enqueue"] == {
+            "count": 1, "total_s": 0.0, "mean_s": 0.0, "max_s": 0.0
+        }
 
-    def test_export_jsonl_to_path_and_fileobj(self, tmp_path):
-        recorder = SpanRecorder(clock=FakeClock(step=0.5))
-        with recorder.span("program", chip="chip01"):
+    def test_counts_are_exact_past_any_buffer(self):
+        obs = Observability(clock=FakeClock())
+        for _ in range(10_000):
+            obs.event("enqueue")
+            with obs.span("dispatch"):
+                pass
+        breakdown = obs.breakdown()
+        assert breakdown["enqueue"]["count"] == 10_000
+        assert breakdown["dispatch"]["count"] == 10_000
+
+    def test_stage_meters_export_to_prometheus(self):
+        obs = Observability(clock=FakeClock(step=1e-3))
+        with obs.span("dispatch.fused"):
             pass
-        path = tmp_path / "trace.jsonl"
-        assert recorder.export_jsonl(path) == 1
-        [line] = path.read_text().splitlines()
-        record = json.loads(line)
-        assert record["name"] == "program"
-        assert record["duration"] == 0.5
-        buffer = io.StringIO()
-        assert recorder.export_jsonl(buffer) == 1
-        assert json.loads(buffer.getvalue())["chip"] == "chip01"
-
-    def test_clear_resets(self):
-        recorder = SpanRecorder(clock=FakeClock(), max_spans=1)
-        recorder.event("a")
-        recorder.event("b")
-        recorder.clear()
-        assert len(recorder) == 0
-        assert recorder.dropped == 0
-
-    def test_rejects_bad_max_spans(self):
-        with pytest.raises(ValueError):
-            SpanRecorder(max_spans=0)
-
-
-class TestNullRecorder:
-    def test_everything_is_a_noop(self, tmp_path):
-        recorder = NullRecorder()
-        assert recorder.enabled is False
-        with recorder.span("forward") as span:
-            assert span is NULL_SPAN
-            assert span.set(chip="x") is span
-        recorder.event("enqueue")
-        assert recorder.spans == []
-        assert recorder.named("forward") == []
-        assert recorder.breakdown() == {}
-        assert len(recorder) == 0
-        assert recorder.export_jsonl(tmp_path / "empty.jsonl") == 0
-
-    def test_shared_null_span_instance(self):
-        recorder = NullRecorder()
-        assert recorder.span("a") is recorder.span("b")
+        obs.event("dead-letter")
+        text = to_prometheus(obs.registry)
+        assert "# TYPE stage_dispatch_fused histogram" in text
+        assert "stage_dispatch_fused_count 1" in text
+        assert "stage_dead_letter 1" in text
 
 
 class TestObservability:
-    def test_default_is_tracing(self):
-        obs = Observability.default()
-        assert obs.tracing is True
-        with obs.span("stage"):
-            pass
-        assert len(obs.recorder) == 1
-
-    def test_disabled_uses_null_recorder(self):
-        obs = Observability.disabled()
-        assert obs.tracing is False
-        assert isinstance(obs.recorder, NullRecorder)
-        obs.event("stage")
-        assert len(obs.recorder) == 0
-
-    def test_shares_clock_with_recorder(self):
+    def test_shares_clock_and_registry(self):
         clock = FakeClock(step=1.0)
-        obs = Observability(clock=clock)
-        assert obs.recorder.clock is clock
+        registry = MetricsRegistry()
+        obs = Observability(clock=clock, registry=registry)
         assert obs.clock is clock
+        assert obs.registry is registry
 
-    def test_metrics_stay_live_without_tracing(self):
-        obs = Observability.disabled()
-        obs.registry.counter("requests").inc()
-        assert obs.registry.get("requests").value == 1
+    def test_default_clock_is_monotonic(self):
+        assert isinstance(Observability().clock, MonotonicClock)
 
 
 class TestPrometheusExport:

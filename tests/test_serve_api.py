@@ -368,13 +368,39 @@ class TestGateway:
         assert replay.telemetry.slo_met == engine.telemetry.slo_met
         assert replay.telemetry.slo_violations == engine.telemetry.slo_violations
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            GatewayConfig(max_queue=0)
-        with pytest.raises(ValueError):
-            GatewayConfig(default_slo=0)
-        with pytest.raises(ValueError):
-            GatewayConfig(tick_seconds=-1.0)
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"max_queue": 0}, "max_queue"),
+            ({"max_queue": 2.5}, "max_queue"),
+            ({"max_queue": True}, "max_queue"),
+            ({"default_slo": 0}, "default_slo"),
+            ({"default_slo": 2.5}, "default_slo"),
+            ({"default_slo": True}, "default_slo"),
+            ({"tick_seconds": -1.0}, "tick_seconds"),
+            ({"tick_seconds": float("nan")}, "tick_seconds"),
+            ({"tick_seconds": float("inf")}, "tick_seconds"),
+            ({"tick_seconds": True}, "tick_seconds"),
+        ],
+    )
+    def test_config_validation(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            GatewayConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"max_queue": 1},
+            {"max_queue": np.int64(4)},
+            {"default_slo": None},
+            {"default_slo": 1},
+            {"tick_seconds": 0.0},
+            {"tick_seconds": 0},
+            {"tick_seconds": np.float64(0.01)},
+        ],
+    )
+    def test_boundary_config_accepted(self, overrides):
+        GatewayConfig(**overrides)
 
 
 class TestSloTelemetry:

@@ -283,6 +283,50 @@ class TestHeterogeneousFleet:
         with pytest.raises(KeyError):
             FleetSpec.parse("memristor:2")
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("rram:2@nan", "sigma_scale"),
+            ("rram:2@inf", "sigma_scale"),
+            ("rram:2@-inf", "sigma_scale"),
+            ("rram:2@0", "sigma_scale"),
+            ("rram:2@-0.5", "sigma_scale"),
+            ("rram:0", "count"),
+            ("rram:-1", "count"),
+            ("rram:2.5", "bad fleet group"),
+        ],
+    )
+    def test_parse_rejects_bad_groups(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            FleetSpec.parse(text)
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"count": 0}, "count"),
+            ({"count": 2.5}, "count"),
+            ({"count": 2.0}, "count"),
+            ({"count": True}, "count"),
+            ({"sigma_scale": 0.0}, "sigma_scale"),
+            ({"sigma_scale": -1.0}, "sigma_scale"),
+            ({"sigma_scale": float("nan")}, "sigma_scale"),
+            ({"sigma_scale": float("inf")}, "sigma_scale"),
+            ({"sigma_scale": True}, "sigma_scale"),
+        ],
+    )
+    def test_group_rejects_invalid_fields(self, overrides, match):
+        fields = {"count": 2, "sigma_scale": 1.0, **overrides}
+        with pytest.raises(ValueError, match=match):
+            TechnologyGroup("rram", **fields)
+
+    @pytest.mark.parametrize(
+        "count, sigma_scale",
+        [(1, 1.0), (np.int64(3), 1e-6), (2, 2), (1, np.float64(0.5))],
+    )
+    def test_group_boundary_accepted(self, count, sigma_scale):
+        group = TechnologyGroup("rram", count, sigma_scale)
+        assert FleetSpec((group,)).num_chips == count
+
     def test_group_spec_matches_technology(self):
         # rram: weight-proportional residuals; flash: layer-fixed ones.
         rram_spec = TechnologyGroup("rram", 1).variability_spec("mixed")

@@ -3,9 +3,9 @@
 Every benchmark reproduces one table or figure of the paper.  Set
 ``REPRO_BENCH_SCALE`` to ``tiny`` (default), ``small``, or ``paper`` to
 trade fidelity for wall-clock; absolute accuracies differ from the paper
-(synthetic data, scaled models — see DESIGN.md) but each bench prints the
-paper's reference values next to the measured ones so the reproduced
-*shape* is visible.
+(synthetic data, scaled models — see docs/architecture.md) but each
+bench prints the paper's reference values next to the measured ones so
+the reproduced *shape* is visible.
 
 Training is the dominant cost, and several benches share trained models
 (e.g. Fig. 6 and Table II reuse the QAVAT models of Fig. 5), so trained

@@ -14,6 +14,14 @@ that side's root, and its result is its last stdout line.  The script
 prints one row per workload and metric and exits 1 when :func:`judge`
 fails any workload.  Both sides run on one host, so it compares commits,
 not machines.
+
+After each run the script also reads the record the run wrote,
+``<root>/.perfbench/<workload>-seed<S>-trace0.json``, and keeps its
+per-pass ``digests`` (telemetry digest) and ``classes`` (hash of the
+predicted classes).  Per workload it prints how many passes both sides
+ran and how many of them match in both (:func:`compare_passes`).  This is
+a report, not a gate: a change that alters decisions, such as a probe
+cut, legitimately changes digests.
 """
 
 from __future__ import annotations
@@ -49,8 +57,8 @@ def _spread(values: list[float]) -> dict:
     """Median and quartiles, as perfbench's ``--repeat`` reports them.
 
     Computed here rather than imported from ``perfbench/``: the gate relies
-    on the benchmark only through ``BENCHMARK.json``'s command and the
-    result line it prints.
+    on the benchmark only through ``BENCHMARK.json``'s command, the result
+    line it prints and the record it writes.
     """
     median = statistics.median(values)
     if len(values) < 2:
@@ -104,6 +112,32 @@ def judge(end_to_end: list[dict], parent: list, change: list) -> tuple[list[dict
     return rows, failures
 
 
+def compare_passes(parent: list, change: list) -> tuple[int, int]:
+    """Passes both sides ran, and how many of them match.
+
+    ``parent`` and ``change`` hold one entry per seed, in ``SEEDS`` order:
+    that run's list of per-pass ``(digest, classes)`` pairs, or None when
+    it wrote no record.  Pass ``k`` of a seed is compared with pass ``k``
+    of the same seed on the other side; the faster side may fit more
+    passes into its seconds, and those extra passes are not counted.
+    """
+    common = matching = 0
+    for ours, theirs in zip(parent, change):
+        pairs = list(zip(ours or [], theirs or []))
+        common += len(pairs)
+        matching += sum(a == b for a, b in pairs)
+    return common, matching
+
+
+def _passes(record: Path) -> list[tuple[str, str]] | None:
+    """A run record's per-pass ``(digest, classes)`` pairs, or None."""
+    try:
+        data = json.loads(record.read_text(encoding="utf-8"))
+        return list(zip(data["digests"], data["classes"]))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
 def _unpack(rev: str, into: Path) -> None:
     """``git archive rev`` into ``into``, with the checkout's benchmark code."""
     archive = subprocess.run(
@@ -117,8 +151,13 @@ def _unpack(rev: str, into: Path) -> None:
     shutil.copy2(ROOT / "BENCHMARK.json", into / "BENCHMARK.json")
 
 
-def _run(benchmark: dict, root: Path, workload: str, seed: int, side: str) -> str | None:
-    """One benchmark run in ``root``: its last stdout line, or None."""
+def _run(
+    benchmark: dict, root: Path, workload: str, seed: int, side: str
+) -> tuple[str | None, list | None]:
+    """One benchmark run in ``root``: its last stdout line and its per-pass
+    identities (:func:`_passes`), each None when missing."""
+    record = root / ".perfbench" / f"{workload}-seed{seed}-trace0.json"
+    record.unlink(missing_ok=True)  # never read an earlier run's record
     argv = [
         *benchmark["command"], "--workload", workload, "--seed", str(seed),
         "--seconds", str(benchmark["run_seconds"]), "--trace", "0",
@@ -130,13 +169,13 @@ def _run(benchmark: dict, root: Path, workload: str, seed: int, side: str) -> st
         )
     except subprocess.TimeoutExpired:
         print(f"{workload} seed {seed} {side}: over {RUN_TIMEOUT_S} s", flush=True)
-        return None
+        return None, None
     print(f"{workload} seed {seed} {side}: exit {done.returncode} "
           f"after {time.perf_counter() - started:.0f} s", flush=True)
     if done.returncode != 0:
         print(done.stderr.strip()[-2000:], flush=True)
     lines = done.stdout.strip().splitlines()
-    return lines[-1] if lines else None
+    return (lines[-1] if lines else None), _passes(record)
 
 
 def main(argv=None) -> int:
@@ -146,15 +185,23 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     table = [f"{'workload':15s} {'metric':22s} {'parent [q1, q3]':>32s} "
              f"{'change [q1, q3]':>32s} {'bound':>5s}  verdict"]
-    failures = []
+    failures, identity = [], []
     with tempfile.TemporaryDirectory(prefix="perf-ab-") as tmp:
         _unpack(args.base, Path(tmp))
         for workload in (entry["name"] for entry in benchmark["workloads"]):
             lines = {"parent": [], "change": []}
+            passes = {"parent": [], "change": []}
             for pair, seed in enumerate(SEEDS):
                 order = [("parent", Path(tmp)), ("change", ROOT)]
                 for side, root in order[::-1] if pair % 2 else order:
-                    lines[side].append(_run(benchmark, root, workload, seed, side))
+                    line, identities = _run(benchmark, root, workload, seed, side)
+                    lines[side].append(line)
+                    passes[side].append(identities)
+            common, matching = compare_passes(passes["parent"], passes["change"])
+            identity.append(
+                f"{workload}: {matching} of the {common} passes both sides ran "
+                "match in digest and classes"
+            )
             rows, reasons = judge(benchmark["end_to_end"], lines["parent"], lines["change"])
             failures += [f"{workload}: {reason}" for reason in reasons]
             for row in rows:
@@ -163,6 +210,8 @@ def main(argv=None) -> int:
                 table.append(f"{workload:15s} {row['metric']:22s} {' '.join(cells)} "
                              f"{row['bound']:5g}  {row['verdict']}")
     print("\n".join(table))
+    print("per-pass identity (reported, not gated):")
+    print("\n".join(identity))
     for failure in failures:
         print(f"FAIL {failure}")
     print(f"perf A/B against {args.base}: {'FAIL' if failures else 'PASS'}")

@@ -1,7 +1,7 @@
 """Reproduction of Deng & Orshansky, "Variability-Aware Training and
 Self-Tuning of Highly Quantized DNNs for Analog PIM" (DATE 2022).
 
-Top-level convenience re-exports; see DESIGN.md for the package map.
+Top-level convenience re-exports; see docs/architecture.md for the package map.
 """
 
 from repro import (

@@ -2,8 +2,9 @@
 
 The evaluation environment has no network access, so the paper's public
 datasets are replaced by deterministic procedural pattern-classification
-tasks with the same tensor shapes and class counts.  See DESIGN.md for why
-this substitution preserves the paper's robustness comparisons.
+tasks with the same tensor shapes and class counts.  See
+docs/architecture.md ("Synthetic stand-ins") for why this substitution
+preserves the paper's robustness comparisons.
 """
 
 from repro.datasets.synthetic import (

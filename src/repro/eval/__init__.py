@@ -1,6 +1,6 @@
 """Evaluation: accuracy metrics and Monte Carlo robustness under variability."""
 
-from repro.eval.metrics import AverageMeter, top1_accuracy
+from repro.eval.metrics import top1_accuracy
 from repro.eval.robustness import RobustnessResult, evaluate_clean, evaluate_robustness
 from repro.eval.statistics import (
     accuracy_quantiles,
@@ -15,7 +15,6 @@ from repro.eval.statistics import (
 
 __all__ = [
     "top1_accuracy",
-    "AverageMeter",
     "RobustnessResult",
     "evaluate_robustness",
     "evaluate_clean",

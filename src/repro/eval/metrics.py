@@ -25,52 +25,3 @@ def topk_accuracy(logits: np.ndarray, targets: np.ndarray, k: int = 5) -> float:
     # argsort(kind="stable") on -logits mirrors argmax's first-wins tie rule.
     ranked = np.argsort(-logits, axis=-1, kind="stable")[:, :k]
     return float((ranked == targets[:, None]).any(axis=-1).mean())
-
-
-class AverageMeter:
-    """Streaming weighted mean of a scalar metric, with tail statistics.
-
-    Beyond the running mean, the meter tracks the unweighted ``min``/``max``
-    of observed values and the weighted standard deviation ``std`` — enough
-    for telemetry to report latency tails without storing every sample.
-    """
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.count = 0
-        self._total_sq = 0.0
-        self._min: float | None = None
-        self._max: float | None = None
-
-    def update(self, value: float, weight: int = 1) -> None:
-        value = float(value)
-        self.total += value * weight
-        self._total_sq += value * value * weight
-        self.count += weight
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def min(self) -> float:
-        return self._min if self._min is not None else 0.0
-
-    @property
-    def max(self) -> float:
-        return self._max if self._max is not None else 0.0
-
-    @property
-    def std(self) -> float:
-        if not self.count:
-            return 0.0
-        variance = self._total_sq / self.count - self.mean**2
-        return float(np.sqrt(max(variance, 0.0)))
-
-    def __repr__(self) -> str:
-        return (
-            f"AverageMeter(mean={self.mean:.4g}, min={self.min:.4g}, "
-            f"max={self.max:.4g}, std={self.std:.4g}, count={self.count})"
-        )

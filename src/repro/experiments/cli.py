@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--self-tuning", choices=("none", "global", "layer"), default="none",
             help="attach a self-tuning architecture to every programmed chip",
         )
-        sub.add_argument("--gtm-cells", type=int, default=1000)
-        sub.add_argument("--ltm-columns", type=int, default=1)
+        sub.add_argument("--gtm-cells", type=_positive_int, default=1000)
+        sub.add_argument("--ltm-columns", type=_positive_int, default=1)
         sub.add_argument(
             "--backend", choices=sorted(BACKENDS), default="fake-quant",
             help="how chips are programmed: fake-quant replicas or "

@@ -1,6 +1,6 @@
 """Experiment configuration: scales, model/dataset pairing, method settings.
 
-The paper's three workloads map onto synthetic stand-ins (see DESIGN.md):
+The paper's three workloads map onto synthetic stand-ins (see docs/architecture.md):
 
 * LeNet-5 / MNIST      -> ``lenet5`` on ``synthetic_mnist``
 * VGG-11 / CIFAR-10    -> ``vgg11`` on ``synthetic_cifar10``

@@ -15,7 +15,6 @@ from repro.experiments.configs import (
 )
 from repro.quant.qconfig import QConfig
 from repro.selftuning.tuner import SelfTuningConfig
-from repro.selftuning.wrap import attach_self_tuning, detach_self_tuning
 from repro.training.baselines import train_ptq_vat, train_qat, train_qavat
 from repro.variability.sampler import VariabilitySpec
 
@@ -101,23 +100,22 @@ def run_method(
     scale: ExperimentScale,
     method_config: MethodConfig = MethodConfig(),
     self_tuning: SelfTuningConfig | None = None,
-    backend: str | ChipBackend | None = "fake-quant",
+    backend: str | ChipBackend = "fake-quant",
 ) -> MethodResult:
     """Train + Monte-Carlo evaluate one method; optionally with self-tuning.
 
     Evaluation programs each Monte-Carlo chip through ``backend`` — the
     same :class:`repro.backends.ChipBackend` objects the serving engine
     uses, so experiment numbers and served numbers cannot drift apart.
-    The default fake-quant backend is bit-identical to the historical
-    in-place injection path; pass ``"circuit"`` to score the method on
-    crossbar-level hardware, or ``None`` for the legacy in-place path.
+    The default fake-quant backend is bit-identical to
+    :func:`~repro.eval.robustness.evaluate_robustness`'s in-place
+    injection; pass ``"circuit"`` to score the method on crossbar-level
+    hardware.
     """
+    chip_backend = make_backend(backend)
     model, test = train_method(
         method, model_name, workload, qconfig, train_spec, scale, method_config
     )
-    chip_backend = make_backend(backend) if backend is not None else None
-    if chip_backend is None and self_tuning is not None:
-        attach_self_tuning(model, self_tuning)
     clean = evaluate_clean(model, test, batch_size=scale.batch_size)
     robustness = evaluate_robustness(
         model,
@@ -129,8 +127,6 @@ def run_method(
         backend=chip_backend,
         self_tuning=self_tuning,
     )
-    if chip_backend is None and self_tuning is not None:
-        detach_self_tuning(model)
     return MethodResult(
         method=method,
         model_name=model_name,
@@ -139,7 +135,7 @@ def run_method(
         eval_spec=eval_spec,
         clean_accuracy=clean,
         robustness=robustness,
-        extras={"backend": chip_backend.name if chip_backend is not None else "in-place"},
+        extras={"backend": chip_backend.name},
     )
 
 
@@ -152,7 +148,7 @@ def run_method_suite(
     eval_spec: VariabilitySpec,
     scale: ExperimentScale,
     method_config: MethodConfig = MethodConfig(),
-    backend: str | ChipBackend | None = "fake-quant",
+    backend: str | ChipBackend = "fake-quant",
 ) -> dict[str, MethodResult]:
     """Run several methods on the same workload/spec (one table column)."""
     return {

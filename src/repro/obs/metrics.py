@@ -74,11 +74,8 @@ class Histogram:
     per decade, plus an underflow bucket ``[0, lo)`` and an overflow bucket
     ``[hi, inf)`` — memory is fixed at construction no matter how many
     values stream through.  Alongside the buckets the exact count / sum /
-    sum-of-squares / min / max are kept, so the meter surface of
-    :class:`repro.eval.metrics.AverageMeter` (``mean``/``min``/``max``/
-    ``std``/``total``/``count``) is a strict subset of this one —
-    :class:`~repro.serve.telemetry.ServeTelemetry` swaps meters for
-    histograms without changing a caller.
+    sum-of-squares / min / max are kept, so the meter surface
+    (``mean``/``min``/``max``/``std``/``total``/``count``) is exact.
 
     :meth:`quantile` finds the bucket the requested rank lands in and
     interpolates linearly inside it (clamped to the exact observed
@@ -137,11 +134,8 @@ class Histogram:
         self._min = value if self._min is None else min(self._min, value)
         self._max = value if self._max is None else max(self._max, value)
 
-    # AverageMeter-compatible alias: telemetry call sites say update().
-    update = observe
-
     # ------------------------------------------------------------------
-    # Meter surface (AverageMeter-compatible)
+    # Meter surface
     # ------------------------------------------------------------------
     @property
     def mean(self) -> float:

@@ -34,7 +34,7 @@ from repro.pim.mapping import (
     interleave_differential,
 )
 from repro.pim.nonidealities import IRDropModel, StuckAtFaultModel
-from repro.pim.tiling import TileSpec, accumulate_tile_outputs, plan_tiles, tile_count
+from repro.pim.tiling import TileSpec, plan_tiles, tile_count
 from repro.pim.chip import MappedConv2d, MappedLinear, PimChip, deploy_model
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "TileSpec",
     "plan_tiles",
     "tile_count",
-    "accumulate_tile_outputs",
     "MappedLinear",
     "MappedConv2d",
     "PimChip",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pim.drift import require_real
+from repro.validation import require_real
 
 
 def _require_bits(bits: int) -> None:

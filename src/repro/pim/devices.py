@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pim.drift import require_real
+from repro.validation import require_real
 
 
 @dataclass(frozen=True)

@@ -23,26 +23,12 @@ processes so the claim can be exercised end to end:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.validation import require_real
 from repro.variability.sampler import ChipVariation
-
-
-def require_real(name: str, value, minimum: float | None = None, strict: bool = False) -> None:
-    """Reject a config real that is not finite or lies below ``minimum``
-    (at or below it when ``strict``).  Numpy scalars pass; bools do not —
-    ``nu=True`` is a typo, not a coefficient."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-    ):
-        raise ValueError(f"{name} must be a finite real, got {value!r}")
-    if minimum is not None and (value <= minimum if strict else value < minimum):
-        raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value!r}")
 
 
 class DriftProcess:

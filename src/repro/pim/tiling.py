@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class TileSpec:
@@ -44,13 +42,3 @@ def tile_count(d_in: int, d_out: int, array_rows: int, array_cols: int) -> int:
     rows = -(-d_in // array_rows)
     cols = -(-d_out // array_cols)
     return rows * cols
-
-
-def accumulate_tile_outputs(
-    outputs: dict[TileSpec, np.ndarray], d_out: int, batch: int
-) -> np.ndarray:
-    """Sum row-tile partial results into the full (batch, d_out) output."""
-    total = np.zeros((batch, d_out))
-    for tile, partial in outputs.items():
-        total[:, tile.col_start : tile.col_stop] += partial
-    return total

@@ -9,6 +9,7 @@ import numpy as np
 from repro.autograd import Tensor
 from repro.selftuning.gtm import GlobalTuningModule
 from repro.selftuning.ltm import LayerTuningModule
+from repro.validation import require_int, require_real
 
 TUNER_KINDS = ("global", "layer")
 
@@ -34,7 +35,9 @@ class SelfTuningConfig:
     (weight-proportional variance); ``kind="layer"`` subtracts the
     LTM-estimated additive error (layer-fixed variance).  The paper's default
     deployment is 10^3 GTM cells and 1 LTM column; the hardest layer-fixed
-    settings use 10^5 cells and 16 columns.
+    settings use 10^5 cells and 16 columns.  ``gtm_cells`` and
+    ``ltm_columns`` must be ints >= 1 and ``w_l_relative`` a finite
+    real > 0.
     """
 
     kind: str = "global"
@@ -45,6 +48,9 @@ class SelfTuningConfig:
     def __post_init__(self) -> None:
         if self.kind not in TUNER_KINDS:
             raise ValueError(f"kind must be one of {TUNER_KINDS}, got {self.kind!r}")
+        require_int("gtm_cells", self.gtm_cells, minimum=1)
+        require_int("ltm_columns", self.ltm_columns, minimum=1)
+        require_real("w_l_relative", self.w_l_relative, minimum=0.0, strict=True)
 
 
 class SelfTuner:

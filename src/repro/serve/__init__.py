@@ -32,18 +32,8 @@ once, spilling cold ones (``docs/scale-out.md``).  See
 """
 
 from repro.serve.api import Gateway, GatewayConfig, Overloaded, RequestFailed
-
-from repro.backends import (
-    BACKENDS,
-    ChipBackend,
-    CircuitBackend,
-    FakeQuantBackend,
-    ProgrammedChip,
-    make_backend,
-)
-from repro.obs import Observability
 from repro.serve.batcher import Batch, MicroBatcher, Request
-from repro.serve.cache import CacheStats, MappingCache, mapping_key
+from repro.serve.cache import CacheStats, MappingCache
 from repro.serve.engine import (
     ChipDescriptor,
     FleetChip,
@@ -99,13 +89,6 @@ __all__ = [
     "GatewayConfig",
     "Overloaded",
     "RequestFailed",
-    "BACKENDS",
-    "Observability",
-    "ChipBackend",
-    "ProgrammedChip",
-    "FakeQuantBackend",
-    "CircuitBackend",
-    "make_backend",
     "EnergyAwarePolicy",
     "InferenceEngine",
     "ServeConfig",
@@ -119,7 +102,6 @@ __all__ = [
     "MicroBatcher",
     "MappingCache",
     "CacheStats",
-    "mapping_key",
     "SchedulingPolicy",
     "RoundRobinPolicy",
     "LeastLoadedPolicy",

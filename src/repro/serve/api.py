@@ -45,10 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pim.drift import require_real
 from repro.serve.engine import InferenceEngine, ServedRequest
-from repro.serve.faults import DeadLetter, require_int
+from repro.serve.faults import DeadLetter
 from repro.serve.trace import ReplayTrace
+from repro.validation import require_int, require_real
 
 
 class Overloaded(RuntimeError):

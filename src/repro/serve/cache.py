@@ -4,8 +4,9 @@ Programming a chip is the expensive part of serving: the trained model is
 replicated, the chip's sampled variation is installed on every quantized
 layer, and (optionally) self-tuning modules are attached — the software
 analogue of writing conductances into every crossbar tile.  A naive server
-would redo that work per request; the cache does it once per
-``(model, qconfig, chip)`` and keeps the hottest mappings resident.
+would redo that work per request; the cache does it once per chip and keeps
+the hottest mappings resident.  An engine serves one model through one
+backend, so its cache is keyed by chip id alone.
 
 The capacity bound models the realistic constraint that only a subset of a
 large fleet's mappings fits in the serving host's memory: requesting an
@@ -21,32 +22,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 
-def mapping_key(
-    model_key: str,
-    qconfig_notation: str,
-    chip_id: str,
-    backend: str = "fake-quant",
-) -> tuple:
-    """Canonical cache key for one programmed mapping.
-
-    The programming backend is part of the identity: a fake-quant replica
-    and a circuit-level ``PimChip`` programmed for the *same* chip are
-    different artifacts, and a mixed-backend engine must never serve one
-    where the other was requested.  ``chip_id`` stays the last element —
-    lifecycle invalidation selects on ``key[-1]`` across all backends.
-    """
-    return (str(model_key), str(qconfig_notation), str(backend), str(chip_id))
-
-
 @dataclass
 class CacheStats:
     """Hit/miss/eviction counters for one :class:`MappingCache`.
 
     ``evictions`` counts capacity-pressure drops (LRU); ``invalidations``
-    counts deliberate drops via :meth:`MappingCache.invalidate` /
-    :meth:`MappingCache.invalidate_where` — e.g. recalibration replacing a
-    drifted chip's stale mapping.  Telemetry reports both so operators can
-    tell "cache too small" from "fleet recalibrating a lot".
+    counts deliberate drops via :meth:`MappingCache.invalidate` — e.g.
+    recalibration replacing a drifted chip's stale mapping.  Telemetry
+    reports both so operators can tell "cache too small" from "fleet
+    recalibrating a lot".
     """
 
     hits: int = 0
@@ -63,11 +47,6 @@ class CacheStats:
     # exceeds ``capacity``, which is the resident-chip ceiling large lazy
     # fleets assert against.
     peak_resident: int = 0
-    # Misses where the same (model, qconfig, chip) *is* resident but was
-    # programmed by a different backend: the collision the backend-aware
-    # key exists to prevent.  A high count on a mixed-backend engine means
-    # the cache is effectively halved — size it per backend.
-    cross_backend_misses: int = 0
     program_seconds: float = 0.0
 
     @property
@@ -84,7 +63,6 @@ class CacheStats:
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "cross_backend_misses": self.cross_backend_misses,
             "spills": self.spills,
             "peak_resident": self.peak_resident,
             "hit_rate": self.hit_rate,
@@ -96,10 +74,11 @@ class CacheStats:
 class MappingCache:
     """Least-recently-used store of programmed chip mappings.
 
-    ``capacity`` bounds the number of resident mappings (``None`` means
-    unbounded).  ``get_or_program`` is the only entry point the engine
-    needs: it returns the cached mapping or invokes ``program`` to build
-    it, evicting the least recently used entry when over capacity.
+    Keys are any hashable (the engine uses chip ids).  ``capacity`` bounds
+    the number of resident mappings (``None`` means unbounded).
+    ``get_or_program`` is the only entry point the engine needs: it
+    returns the cached mapping or invokes ``program`` to build it,
+    evicting the least recently used entry when over capacity.
 
     ``clock`` is the time source ``stats.program_seconds`` is measured
     with (injectable — the engine passes its :mod:`repro.obs` clock so
@@ -140,8 +119,6 @@ class MappingCache:
             self._entries.move_to_end(key)
             return self._entries[key]
         self.stats.misses += 1
-        if self._is_cross_backend_miss(key):
-            self.stats.cross_backend_misses += 1
         started = self.clock()
         mapping = program()
         self.stats.program_seconds += self.clock() - started
@@ -154,23 +131,6 @@ class MappingCache:
                     self.on_evict(evicted_key, evicted)
         self.stats.peak_resident = max(self.stats.peak_resident, len(self._entries))
         return mapping
-
-    def _is_cross_backend_miss(self, key: Hashable) -> bool:
-        """True when the missing chip is resident under another backend.
-
-        Only :func:`mapping_key`-shaped keys (4-tuples with the backend in
-        slot 2) participate; opaque keys never count.
-        """
-        if not (isinstance(key, tuple) and len(key) == 4):
-            return False
-        return any(
-            isinstance(other, tuple)
-            and len(other) == 4
-            and other[:2] == key[:2]
-            and other[3] == key[3]
-            and other[2] != key[2]
-            for other in self._entries
-        )
 
     def peek(self, key: Hashable):
         """The resident mapping for ``key`` or ``None`` — no stats, no LRU touch.
@@ -186,33 +146,6 @@ class MappingCache:
             return False
         self.stats.invalidations += 1
         return True
-
-    def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Drop every mapping whose key matches ``predicate``; returns the count.
-
-        This is the recalibration entry point: dropping only
-        ``key[-1] == chip_id`` replaces one reprogrammed chip's stale
-        mapping while every healthy chip stays resident (no fleet-wide
-        flush, no spurious reprogramming cost).
-        """
-        stale = [key for key in self._entries if predicate(key)]
-        for key in stale:
-            del self._entries[key]
-        self.stats.invalidations += len(stale)
-        return len(stale)
-
-    def invalidate_chip(self, chip_id: str) -> int:
-        """Drop every mapping programmed for ``chip_id``; returns the count.
-
-        Convenience over :meth:`invalidate_where` for the two surgical
-        invalidation call sites — recalibration and spare provisioning —
-        selecting on the :func:`mapping_key` convention that the chip id
-        is the last key element.  Opaque (non-tuple) keys never match.
-        """
-        chip_id = str(chip_id)
-        return self.invalidate_where(
-            lambda key: isinstance(key, tuple) and bool(key) and key[-1] == chip_id
-        )
 
     def clear(self) -> None:
         """Drop every resident mapping (stats are kept)."""

@@ -41,16 +41,16 @@ from repro.datasets.loaders import batch_iterator
 from repro.eval.metrics import topk_accuracy
 from repro.obs import Observability
 from repro.pim.devices import device_by_name
-from repro.pim.drift import require_real
 from repro.quant.ptq import quantized_layers
 from repro.selftuning.tuner import SelfTuningConfig
 from repro.serve.batcher import Batch, MicroBatcher, Request
-from repro.serve.cache import MappingCache, mapping_key
-from repro.serve.faults import ChipFault, DeadLetter, RetryPolicy, require_int
+from repro.serve.cache import MappingCache
+from repro.serve.faults import ChipFault, DeadLetter, RetryPolicy
 from repro.serve.health import HealthConfig, HealthMonitor
 from repro.serve.scheduler import dispatchable, make_policy
 from repro.serve.telemetry import ServeTelemetry
 from repro.serve.trace import ArrivalTrace
+from repro.validation import require_int, require_real
 from repro.variability.faults import FaultSpec
 from repro.variability.models import variance_model_by_name
 from repro.variability.sampler import ChipVariation, VariabilitySampler, VariabilitySpec
@@ -66,8 +66,7 @@ class ServeConfig:
 
     ``backend`` selects how chips are realized: a registered
     :mod:`repro.backends` name (``"fake-quant"``, ``"circuit"``) or a
-    configured :class:`~repro.backends.ChipBackend` instance.  A
-    ``FleetSpec.backend`` set on a heterogeneous fleet takes precedence.
+    configured :class:`~repro.backends.ChipBackend` instance.
 
     ``retry`` bounds how a failed dispatch is recovered (attempts, backoff,
     hedging, timeout — see :class:`repro.serve.faults.RetryPolicy`);
@@ -166,14 +165,11 @@ class FleetSpec:
     Parsed from the CLI syntax ``"rram:2,flash:2"`` (optionally
     ``rram:2@0.5`` to scale the preset sigma).  Chip ids carry the
     technology (``rram00``, ``flash02``, …) so telemetry and cache keys
-    stay self-describing.  ``backend`` optionally pins how this fleet's
-    chips are realized (a :mod:`repro.backends` name or instance),
-    overriding the engine-wide ``ServeConfig.backend``.
+    stay self-describing.
     """
 
     groups: tuple[TechnologyGroup, ...]
     scenario: str = "mixed"
-    backend: str | ChipBackend | None = None
 
     def __post_init__(self) -> None:
         if not self.groups:
@@ -185,9 +181,7 @@ class FleetSpec:
         return sum(group.count for group in self.groups)
 
     @classmethod
-    def parse(
-        cls, text: str, scenario: str = "mixed", backend: str | ChipBackend | None = None
-    ) -> "FleetSpec":
+    def parse(cls, text: str, scenario: str = "mixed") -> "FleetSpec":
         """Parse ``"rram:2,flash:2"`` / ``"rram:4@0.5"`` into a spec."""
         groups = []
         for part in text.split(","):
@@ -202,7 +196,7 @@ class FleetSpec:
                 groups.append(TechnologyGroup(device.strip(), count, scale))
             except ValueError as error:
                 raise ValueError(f"bad fleet group {part!r}: {error}") from None
-        return cls(tuple(groups), scenario=scenario, backend=backend)
+        return cls(tuple(groups), scenario=scenario)
 
 
 @dataclass(frozen=True)
@@ -382,7 +376,6 @@ class InferenceEngine:
         spec: VariabilitySpec,
         num_chips: int = 4,
         config: ServeConfig = ServeConfig(),
-        model_key: str | None = None,
         fleet_spec: FleetSpec | None = None,
         obs: Observability | None = None,
     ) -> None:
@@ -391,12 +384,8 @@ class InferenceEngine:
         self.model = model
         self.spec = spec
         self.config = config
-        self.model_key = model_key or model.__class__.__name__
-        self._notation = self._validate_model(model)
-        backend = config.backend
-        if fleet_spec is not None and fleet_spec.backend is not None:
-            backend = fleet_spec.backend
-        self.backend = make_backend(backend)
+        self._validate_model(model)
+        self.backend = make_backend(config.backend)
         self.fleet_spec = fleet_spec
         if fleet_spec is None:
             sampler = VariabilitySampler(spec, seed=config.seed)
@@ -484,7 +473,7 @@ class InferenceEngine:
         return fleet
 
     @staticmethod
-    def _validate_model(model) -> str:
+    def _validate_model(model) -> None:
         layers = [layer for _, layer in quantized_layers(model)]
         if not layers:
             raise ValueError(
@@ -495,9 +484,8 @@ class InferenceEngine:
                 raise RuntimeError(
                     "model is not calibrated; run calibrate_model before serving"
                 )
-        return layers[0].qconfig.notation
 
-    def _on_evict(self, key: tuple, programmed) -> None:
+    def _on_evict(self, chip_id: str, programmed) -> None:
         """Cache spill hook: a chip's mapping left the cache under
         capacity pressure, so release its realized variation patterns too.
 
@@ -505,12 +493,9 @@ class InferenceEngine:
         state, not just on programmed mappings: the evicted chip's cached
         per-layer eps_W arrays are dropped (drift state and measurements
         survive) and re-derive bit-exactly from the seed when traffic
-        returns.  Only :func:`~repro.serve.cache.mapping_key`-shaped keys
-        participate; the chip id is the last key element.
+        returns.
         """
-        if not (isinstance(key, tuple) and key):
-            return
-        chip = self.chip_by_id(str(key[-1]))
+        chip = self.chip_by_id(chip_id)
         if chip is None or not chip.realized:
             return
         chip.spill()
@@ -554,18 +539,10 @@ class InferenceEngine:
         heterogeneous fleets, the engine-wide spec otherwise)."""
         return chip.spec if chip.spec is not None else self.spec
 
-    def key_for(self, chip: FleetChip) -> tuple:
-        """The chip's mapping-cache key (backend identity included)."""
-        return mapping_key(
-            self.model_key, self._notation, chip.chip_id, backend=self.backend.name
-        )
-
     def programmed_for(self, chip: FleetChip) -> ProgrammedChip:
         """The chip's :class:`~repro.backends.ProgrammedChip`, (re)programming
         through the cache on demand."""
-        programmed = self.cache.get_or_program(
-            self.key_for(chip), lambda: self._program(chip)
-        )
+        programmed = self.cache.get_or_program(chip.chip_id, lambda: self._program(chip))
         if chip.mapping_stale:
             # The physical chip changed since this mapping was last installed
             # (drift advanced by the lifecycle).  Refresh in place, lazily, so
@@ -584,7 +561,7 @@ class InferenceEngine:
         *current* variation.  Returns how many cache entries were
         invalidated (0 when the chip was not resident).
         """
-        invalidated = int(self.cache.invalidate(self.key_for(chip)))
+        invalidated = int(self.cache.invalidate(chip.chip_id))
         self.programmed_for(chip)
         return invalidated
 
@@ -655,7 +632,7 @@ class InferenceEngine:
         replacement in a run is a distinct chip and reruns reproduce it).
         Its id is ``<base>+<generation>`` — a new physical identity, so
         cache keys, sticky fault maps, and health history never leak from
-        the dead chip.  The old chip's cache entries are surgically
+        the dead chip.  The old chip's cache entry is surgically
         invalidated, exactly like recalibration.
         """
         generation = self._generations.get(chip.index, 0) + 1
@@ -675,7 +652,7 @@ class InferenceEngine:
         slot = self.fleet.index(chip)
         self.fleet[slot] = replacement
         self.retired.append(chip)
-        self.cache.invalidate_chip(chip.chip_id)
+        self.cache.invalidate(chip.chip_id)
         self._sticky_faults.pop(chip.chip_id, None)
         self.health.mark_replaced(chip, self.now, reason=reason)
         self.health.adopt(replacement)
@@ -702,11 +679,11 @@ class InferenceEngine:
         whose first layer works on the probe batch once per chunk; each
         chip then runs as its own one-chip group (bit-identical to
         :meth:`probe_chip` alone).  A chunk that cannot be stacked
-        (self-tuning, noisy ADCs, mixed backends) is probed chip by chip.
+        (self-tuning, noisy ADCs) is probed chip by chip.
         """
         chips = list(self.fleet if chips is None else chips)
         # Resident first; the stable sort keeps fleet order within each group.
-        walk = sorted(chips, key=lambda chip: self.cache.peek(self.key_for(chip)) is None)
+        walk = sorted(chips, key=lambda chip: self.cache.peek(chip.chip_id) is None)
         size = self.config.max_resident_chips or max(1, len(walk))
         qualities = {}
         for start in range(0, len(walk), size):
@@ -841,7 +818,7 @@ class InferenceEngine:
         """
         members = []
         for chip in self.fleet:
-            programmed = self.cache.peek(self.key_for(chip))
+            programmed = self.cache.peek(chip.chip_id)
             if programmed is not None:
                 members.append(programmed)
         if not members:
@@ -1376,7 +1353,7 @@ class InferenceEngine:
 
     def __repr__(self) -> str:
         return (
-            f"InferenceEngine(model={self.model_key}, chips={len(self.fleet)}, "
+            f"InferenceEngine(model={type(self.model).__name__}, chips={len(self.fleet)}, "
             f"backend={self.backend.name!r}, policy={self.policy.name!r}, "
             f"max_batch={self.config.max_batch})"
         )

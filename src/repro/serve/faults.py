@@ -37,12 +37,11 @@ the fault map.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.pim.drift import require_real
+from repro.validation import require_int, require_real
 from repro.variability.faults import FaultSpec
 
 
@@ -57,15 +56,6 @@ class ChipFault(RuntimeError):
         super().__init__(f"{kind} fault on chip {chip_id or '<unknown>'}")
         self.kind = kind
         self.chip_id = chip_id
-
-
-def require_int(name: str, value, minimum: int) -> None:
-    """Reject a config size that is not an int >= ``minimum`` (numpy ints
-    pass; bools do not — ``max_attempts=True`` is a typo, not a budget)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -141,6 +131,10 @@ class FaultPlan:
     (``transient_rate``, ``latency_rate``) apply for the whole run.
     ``latency_seconds`` is the service-time penalty of one latency spike —
     spikes slow a dispatch down, they do not fail it.
+
+    The sizes are checked at construction: ``deaths`` and ``stuck_chips``
+    are ints >= 0, ``horizon`` an int >= 1, ``latency_seconds`` a finite
+    real >= 0, and both rates finite reals in ``[0, 1)``.
     """
 
     transient_rate: float = 0.05
@@ -155,14 +149,13 @@ class FaultPlan:
     def __post_init__(self) -> None:
         for name in ("transient_rate", "latency_rate"):
             rate = getattr(self, name)
-            if not 0.0 <= rate < 1.0:
+            require_real(name, rate, minimum=0.0)
+            if rate >= 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {rate}")
-        if self.deaths < 0 or self.stuck_chips < 0:
-            raise ValueError("deaths and stuck_chips must be >= 0")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1 tick")
-        if self.latency_seconds < 0.0:
-            raise ValueError("latency_seconds must be >= 0")
+        require_real("latency_seconds", self.latency_seconds, minimum=0.0)
+        require_int("deaths", self.deaths, minimum=0)
+        require_int("stuck_chips", self.stuck_chips, minimum=0)
+        require_int("horizon", self.horizon, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -242,11 +235,6 @@ class FaultInjector:
     def schedule(self) -> list[FaultEvent]:
         """The compiled fault schedule (empty before :meth:`install`)."""
         return list(self._schedule)
-
-    @property
-    def dead_chips(self) -> set[str]:
-        """Chip ids killed so far."""
-        return set(self._dead)
 
     # ------------------------------------------------------------------
     # Scheduled events

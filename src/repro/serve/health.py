@@ -44,7 +44,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.serve.faults import require_int
+from repro.validation import require_int
+
 
 #: Every state a chip can be in, in degradation order.
 HEALTH_STATES = ("healthy", "degraded", "quarantined", "retired", "replaced")
@@ -148,9 +149,6 @@ class HealthMonitor:
         self.records[chip.chip_id] = record
         chip.health = record.state
         return record
-
-    def state_of(self, chip) -> str:
-        return self.record_for(chip).state
 
     def _transition(self, chip, record: ChipHealth, target: str, tick: int, reason: str) -> None:
         if record.state == target:

@@ -67,11 +67,10 @@ from repro.pim.drift import (
     DriftingChip,
     DriftProcess,
     TemperatureDrift,
-    require_real,
 )
 from repro.serve.engine import FleetChip, InferenceEngine
-from repro.serve.faults import require_int
 from repro.serve.health import SERVING_STATES
+from repro.validation import require_int, require_real
 
 DRIFT_KINDS = ("aging", "temperature")
 
@@ -283,7 +282,7 @@ class ChipLifecycle:
         # 0: their probe measures exactly what a recalibration rewrites.  A
         # resident chip keeps whatever was done to it before install().
         for chip in chips:
-            if self.engine.cache.peek(self.engine.key_for(chip)) is None:
+            if self.engine.cache.peek(chip.chip_id) is None:
                 self._written[chip.chip_id] = self.engine.sticky_faults(chip)
         qualities = self._sweep(chips)
         for chip in chips:

@@ -3,11 +3,10 @@
 Built on :mod:`repro.obs.metrics`: every meter is a :class:`Counter` or a
 log-bucketed streaming :class:`Histogram` registered in a
 :class:`MetricsRegistry`, so the counters stay O(1) no matter how much
-traffic flows through — and, unlike the old ``AverageMeter``-only
-telemetry, latency now reports interpolated p50/p95/p99 tails alongside
-mean/min/max/std (an SLO is a quantile, not a mean).  The registry is
-shared with the engine's :class:`~repro.obs.Observability`, which is what
-lets one Prometheus dump cover the whole stack.
+traffic flows through, and latency reports interpolated p50/p95/p99
+tails alongside mean/min/max/std (an SLO is a quantile, not a mean).
+The registry is shared with the engine's :class:`~repro.obs.Observability`,
+which is what lets one Prometheus dump cover the whole stack.
 """
 
 from __future__ import annotations
@@ -225,18 +224,18 @@ class ServeTelemetry:
         self._requests.inc(size)
         self._batches.inc()
         self.per_chip_samples[chip_id] += size
-        self.batch_size.update(size)
-        self.occupancy.update(size / self.max_batch)
+        self.batch_size.observe(size)
+        self.occupancy.observe(size / self.max_batch)
         for ticks in queue_ticks:
-            self.queue_ticks.update(ticks)
-        self.service_seconds.update(seconds)
+            self.queue_ticks.observe(ticks)
+        self.service_seconds.observe(seconds)
         if energy_uj is not None:
-            self.batch_energy_uj.update(float(energy_uj))
+            self.batch_energy_uj.observe(float(energy_uj))
             self.per_chip_energy_uj[chip_id] += float(energy_uj)
 
     def record_request_latency(self, seconds: float) -> None:
         """Account one request's submit-to-completion wall latency."""
-        self.request_seconds.update(seconds)
+        self.request_seconds.observe(seconds)
 
     def record_quality(self, chip_id: str, time: float, quality: float) -> None:
         """Append one probed quality sample to a chip's accuracy-over-time series."""
@@ -277,10 +276,10 @@ class ServeTelemetry:
         """
         if headroom >= 0:
             self._slo_met.inc()
-            self.deadline_headroom.update(headroom)
+            self.deadline_headroom.observe(headroom)
         else:
             self._slo_violations.inc()
-            self.deadline_lateness.update(-headroom)
+            self.deadline_lateness.observe(-headroom)
         self.slo_series.append((int(tick), self.slo_met, self.slo_violations))
 
     def record_rejection(self) -> None:
@@ -614,8 +613,7 @@ class ServeTelemetry:
             lines.append(
                 f"mapping cache: {stats.hits} hits / {stats.misses} misses "
                 f"(hit rate {100 * stats.hit_rate:.0f}%)  "
-                f"evictions {stats.evictions}  invalidations {stats.invalidations}  "
-                f"cross-backend misses {stats.cross_backend_misses}"
+                f"evictions {stats.evictions}  invalidations {stats.invalidations}"
             )
         if self.batch_energy_uj.count:
             lines.append(

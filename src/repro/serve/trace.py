@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pim.drift import require_real
-from repro.serve.faults import require_int
+from repro.validation import require_int, require_real
 
 
 class ArrivalTrace:

@@ -13,7 +13,7 @@ from repro.datasets import (
     synthetic_cifar100,
     synthetic_mnist,
 )
-from repro.eval import AverageMeter, evaluate_clean, evaluate_robustness, top1_accuracy
+from repro.eval import evaluate_clean, evaluate_robustness, top1_accuracy
 from repro.quant import QConfig, calibrate_model, convert_to_quantized
 from repro.variability import VariabilitySpec, WeightProportionalVariance
 
@@ -104,13 +104,6 @@ class TestMetrics:
     def test_top1(self):
         logits = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert top1_accuracy(logits, np.array([0, 0])) == 0.5
-
-    def test_average_meter(self):
-        meter = AverageMeter()
-        meter.update(1.0, weight=3)
-        meter.update(0.0, weight=1)
-        assert meter.mean == pytest.approx(0.75)
-        assert AverageMeter().mean == 0.0
 
 
 def calibrated_model(dataset):

@@ -1,9 +1,9 @@
-"""Tests for eval metrics: top-k accuracy and the extended AverageMeter."""
+"""Tests for eval metrics: top-k accuracy."""
 
 import numpy as np
 import pytest
 
-from repro.eval.metrics import AverageMeter, top1_accuracy, topk_accuracy
+from repro.eval.metrics import top1_accuracy, topk_accuracy
 
 
 class TestTopkAccuracy:
@@ -37,59 +37,3 @@ class TestTopkAccuracy:
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
             topk_accuracy(np.zeros((2, 3)), np.zeros(2, dtype=int), k=0)
-
-
-class TestAverageMeterTails:
-    def test_mean_unchanged_semantics(self):
-        meter = AverageMeter()
-        meter.update(1.0)
-        meter.update(3.0)
-        assert meter.mean == 2.0
-        assert meter.total == 4.0
-        assert meter.count == 2
-
-    def test_weighted_mean(self):
-        meter = AverageMeter()
-        meter.update(1.0, weight=3)
-        meter.update(5.0, weight=1)
-        assert meter.mean == 2.0
-
-    def test_min_max_track_extremes(self):
-        meter = AverageMeter()
-        for value in (4.0, -2.0, 10.0, 3.0):
-            meter.update(value)
-        assert meter.min == -2.0
-        assert meter.max == 10.0
-
-    def test_std_matches_numpy(self):
-        values = [1.0, 2.0, 5.0, 9.0, 2.5]
-        meter = AverageMeter()
-        for value in values:
-            meter.update(value)
-        assert meter.std == pytest.approx(np.std(values))
-
-    def test_weighted_std(self):
-        meter = AverageMeter()
-        meter.update(1.0, weight=2)
-        meter.update(4.0, weight=1)
-        expected = np.std([1.0, 1.0, 4.0])
-        assert meter.std == pytest.approx(expected)
-
-    def test_empty_meter_defaults(self):
-        meter = AverageMeter()
-        assert meter.mean == 0.0
-        assert meter.min == 0.0
-        assert meter.max == 0.0
-        assert meter.std == 0.0
-
-    def test_constant_stream_has_zero_std(self):
-        meter = AverageMeter()
-        for _ in range(5):
-            meter.update(3.3)
-        assert meter.std == pytest.approx(0.0, abs=1e-12)
-
-    def test_repr_mentions_tails(self):
-        meter = AverageMeter()
-        meter.update(2.0)
-        text = repr(meter)
-        assert "min" in text and "max" in text and "std" in text

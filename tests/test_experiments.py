@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.backends import FakeQuantBackend
+from repro.eval import evaluate_robustness
 from repro.experiments import (
     EXPERIMENT_SCALES,
     MethodConfig,
@@ -11,6 +13,8 @@ from repro.experiments import (
     format_table,
     model_for,
     run_method,
+    run_method_suite,
+    train_method,
 )
 from repro.quant import QConfig
 from repro.variability import VariabilitySpec, WeightProportionalVariance
@@ -92,19 +96,30 @@ class TestRunnerEndToEnd:
             run_method("dropout", "lenet5", "mnist", QConfig(), spec, spec, scale)
 
     def test_backend_evaluation_matches_legacy_in_place_path(self):
-        """The fake-quant backend must reproduce the historical in-place
-        injection numbers exactly — experiments cannot drift when the
-        evaluation is re-routed through repro.backends."""
+        """The fake-quant backend must reproduce in-place injection
+        (``evaluate_robustness(backend=None)``) exactly on a trained model —
+        experiments cannot drift when evaluation runs through repro.backends."""
         scale = EXPERIMENT_SCALES["tiny"]
         spec = VariabilitySpec.within_only(0.3, WeightProportionalVariance())
-        args = ("qat", "lenet5", "mnist", QConfig.from_notation("A8W4"), spec, spec,
-                scale, MethodConfig(seed=1))
-        legacy = run_method(*args, backend=None)
-        routed = run_method(*args, backend="fake-quant")
-        assert routed.robustness.accuracies == legacy.robustness.accuracies
-        assert routed.clean_accuracy == legacy.clean_accuracy
-        assert routed.extras["backend"] == "fake-quant"
-        assert legacy.extras["backend"] == "in-place"
+        model, test = train_method(
+            "qat", "lenet5", "mnist", QConfig.from_notation("A8W4"), spec, scale,
+            MethodConfig(seed=1),
+        )
+        kwargs = dict(num_chips=scale.num_chips, batch_size=scale.batch_size, seed=4322)
+        in_place = evaluate_robustness(model, test, spec, backend=None, **kwargs)
+        routed = evaluate_robustness(model, test, spec, backend=FakeQuantBackend(), **kwargs)
+        assert len(routed.accuracies) == scale.num_chips
+        assert routed.accuracies == in_place.accuracies
+
+    def test_runner_rejects_missing_backend(self):
+        """The runner always programs chips through a backend."""
+        scale = EXPERIMENT_SCALES["tiny"]
+        spec = VariabilitySpec.null()
+        args = ("lenet5", "mnist", QConfig(), spec, spec, scale)
+        with pytest.raises(KeyError, match="unknown backend"):
+            run_method("qat", *args, backend=None)
+        with pytest.raises(KeyError, match="unknown backend"):
+            run_method_suite(["qat"], *args, backend=None)
 
     def test_circuit_backend_evaluation(self):
         """Scoring a trained method on crossbar-level hardware end to end."""

@@ -124,6 +124,18 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve-bench", *flags])
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--gtm-cells", "0"), ("--ltm-columns", "-3")]
+    )
+    def test_self_tuning_sizes_rejected_at_parse_time(self, capsys, flag, value):
+        """A bad self-tuning size is a usage error, not a traceback from
+        chip programming after the model is set up."""
+        argv = ["serve-bench", "--skip-training", "--self-tuning", "global", flag, value]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+
     def test_serve_bench_drift_flags(self):
         args = build_parser().parse_args(
             ["serve-bench", "--drift", "--policy", "accuracy-weighted",

@@ -41,7 +41,7 @@ class TestGauge:
 
 
 class TestHistogramMeterSurface:
-    """The AverageMeter-compatible subset telemetry call sites rely on."""
+    """The count/mean/min/max/std surface telemetry call sites rely on."""
 
     def test_empty_histogram_reports_zeros(self):
         h = Histogram("latency")
@@ -56,7 +56,7 @@ class TestHistogramMeterSurface:
         h = Histogram("latency")
         values = [0.002, 0.017, 0.5, 3.0, 0.0004]
         for value in values:
-            h.update(value)  # AverageMeter-compatible alias
+            h.observe(value)
         assert h.count == len(values)
         assert h.mean == pytest.approx(np.mean(values))
         assert h.min == min(values)
@@ -68,6 +68,10 @@ class TestHistogramMeterSurface:
         h.observe(2.0, weight=3)
         assert h.count == 3
         assert h.total == 6.0
+        h.observe(8.0)
+        assert h.mean == pytest.approx(3.5)
+        assert h.std == pytest.approx(np.std([2.0, 2.0, 2.0, 8.0]))
+        assert (h.min, h.max) == (2.0, 8.0)
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError, match="weight"):

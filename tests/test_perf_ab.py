@@ -58,3 +58,39 @@ def test_judge(change, failure):
         assert all(row["verdict"] == "ok" for row in rows)
     else:
         assert len(failures) == 1 and failure in failures[0]
+
+
+def _identities(*labels):
+    """One run's per-pass ``(digest, classes)`` pairs, one pair per label."""
+    return [(f"digest-{label}", f"classes-{label}") for label in labels]
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        ([_identities("a", "b"), _identities("c")], [_identities("a", "b"), _identities("c")],
+         (3, 3)),
+        ([_identities("a", "b", "x")], [_identities("a", "b")], (2, 2)),
+        ([_identities("a")], [_identities("a", "b", "x")], (1, 1)),
+        ([_identities("a", "b")], [_identities("a", "z")], (2, 1)),
+        ([_identities("a")], [[("digest-a", "classes-z")]], (1, 0)),
+        ([_identities("a")], [[("digest-z", "classes-a")]], (1, 0)),
+        ([_identities("a"), None], [_identities("a"), _identities("b")], (1, 1)),
+        ([], [], (0, 0)),
+    ],
+    ids=[
+        "identical", "parent-ran-more", "change-ran-more", "one-differs",
+        "classes-differ", "digest-differs", "missing-record", "no-runs",
+    ],
+)
+def test_compare_passes(parent, change, expected):
+    assert perf_ab.compare_passes(parent, change) == expected
+
+
+def test_passes_read_from_record(tmp_path):
+    record = tmp_path / "steady-fleet-seed1-trace0.json"
+    record.write_text(json.dumps({"digests": ["d0", "d1"], "classes": ["c0", "c1"]}))
+    assert perf_ab._passes(record) == [("d0", "c0"), ("d1", "c1")]
+    assert perf_ab._passes(tmp_path / "missing.json") is None
+    record.write_text("{}")
+    assert perf_ab._passes(record) is None

@@ -112,6 +112,42 @@ class TestKindSelection:
         with pytest.raises(ValueError):
             SelfTuningConfig(kind="sideways")
 
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"gtm_cells": 0}, "gtm_cells"),
+            ({"gtm_cells": 2.5}, "gtm_cells"),
+            ({"gtm_cells": True}, "gtm_cells"),
+            ({"gtm_cells": 1000.0}, "gtm_cells"),
+            ({"ltm_columns": 0}, "ltm_columns"),
+            ({"ltm_columns": -3}, "ltm_columns"),
+            ({"ltm_columns": 1.5}, "ltm_columns"),
+            ({"w_l_relative": float("nan")}, "w_l_relative"),
+            ({"w_l_relative": float("inf")}, "w_l_relative"),
+            ({"w_l_relative": -1.0}, "w_l_relative"),
+            ({"w_l_relative": 0.0}, "w_l_relative"),
+            ({"w_l_relative": True}, "w_l_relative"),
+        ],
+    )
+    def test_config_rejects_bad_sizes(self, overrides, match):
+        """A bad size fails when the config is built, not inside chip programming."""
+        with pytest.raises(ValueError, match=match):
+            SelfTuningConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"gtm_cells": 1, "ltm_columns": 1},
+            {"gtm_cells": np.int64(100_000), "ltm_columns": np.int32(16)},
+            {"w_l_relative": 1e-9},
+            {"w_l_relative": np.float64(2.0)},
+        ],
+    )
+    def test_config_accepts_boundary_sizes(self, overrides):
+        tuner = SelfTuner(SelfTuningConfig(**overrides))
+        assert tuner.gtm.num_cells == overrides.get("gtm_cells", 1000)
+        assert tuner.ltm.columns == overrides.get("ltm_columns", 1)
+
 
 def _linear_with_chip(rng, spec, bias=False):
     layer = QuantLinear(10, 6, QConfig(activation_bits=8, weight_bits=4), bias=bias)

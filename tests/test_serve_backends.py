@@ -1,4 +1,4 @@
-"""Serving through ``repro.backends``: parity, lifecycle, energy, shims.
+"""Serving through ``repro.backends``: parity, lifecycle, energy, mappings.
 
 The centerpiece is the backend parity suite: the circuit-level
 ``PimChip`` backend and the fake-quant backend must realize the *same
@@ -171,14 +171,15 @@ class TestRealisticParity:
 
 
 class TestEngineBackendIntegration:
-    def test_cache_keys_differ_per_backend(self, served_model):
+    @pytest.mark.parametrize("backend", ["fake-quant", "circuit"])
+    def test_cache_keyed_by_chip_id(self, served_model, backend):
+        """One engine, one backend: a chip's mapping is cached under its id."""
         model, _ = served_model
-        fq = _engine(model, "fake-quant", seed=1)
-        hw = _engine(model, "circuit", seed=1)
-        for chip_fq, chip_hw in zip(fq.fleet, hw.fleet):
-            assert chip_fq.chip_id == chip_hw.chip_id
-            assert fq.key_for(chip_fq) != hw.key_for(chip_hw)
-            assert fq.key_for(chip_fq)[-1] == chip_fq.chip_id
+        engine = _engine(model, backend, num_chips=3, seed=1)
+        engine.warm_up()
+        assert engine.cache.keys == [chip.chip_id for chip in engine.fleet]
+        chip = engine.fleet[1]
+        assert engine.cache.peek(chip.chip_id) is engine.programmed_for(chip)
 
     def test_reprogram_is_surgical(self, served_model):
         model, _ = served_model
@@ -276,18 +277,8 @@ class TestCircuitLifecycle:
 
 
 class TestCompatibilityShims:
-    """Pre-redesign import paths and accessors keep working."""
-
-    def test_serve_package_exports_backend_api(self):
-        import repro.serve as serve
-
-        for name in ("ChipBackend", "ProgrammedChip", "BACKENDS", "make_backend"):
-            assert hasattr(serve, name)
-
-    def test_mapping_key_defaults_to_fake_quant(self):
-        from repro.serve.cache import mapping_key
-
-        assert mapping_key("m", "q", "c") == ("m", "q", "fake-quant", "c")
+    """A programmed chip's public ``ProgrammedChip.mapping`` is a runnable
+    module, and replicas stay deep-copyable despite their shared structure."""
 
     def test_legacy_mapping_accessor_returns_module(self, served_model):
         model, dataset = served_model

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve.cache import MappingCache, mapping_key
+from repro.serve.cache import MappingCache
 
 
 class Counter:
@@ -22,7 +22,7 @@ class Counter:
 class TestHitMiss:
     def test_first_lookup_programs_then_hits(self):
         cache, counter = MappingCache(), Counter()
-        key = mapping_key("lenet", "A4W2", "chip00")
+        key = "chip00"
         first = cache.get_or_program(key, counter.programmer(key))
         second = cache.get_or_program(key, counter.programmer(key))
         assert first is second
@@ -33,69 +33,21 @@ class TestHitMiss:
 
     def test_distinct_chips_get_distinct_mappings(self):
         cache, counter = MappingCache(), Counter()
-        keys = [mapping_key("lenet", "A4W2", f"chip{i}") for i in range(3)]
+        keys = [f"chip{i}" for i in range(3)]
         values = [cache.get_or_program(k, counter.programmer(k)) for k in keys]
         assert len(set(values)) == 3
         assert cache.stats.misses == 3
 
-
-class TestBackendIdentity:
-    def test_backend_is_part_of_the_key(self):
-        """The same chip programmed by two backends is two cache entries."""
-        fq = mapping_key("lenet", "A4W2", "chip00", backend="fake-quant")
-        circuit = mapping_key("lenet", "A4W2", "chip00", backend="circuit")
-        assert fq != circuit
-        cache, counter = MappingCache(), Counter()
-        first = cache.get_or_program(fq, counter.programmer(fq))
-        second = cache.get_or_program(circuit, counter.programmer(circuit))
-        assert first != second
-        assert counter.programs == [fq, circuit]
-
-    def test_chip_id_stays_last_for_lifecycle_invalidation(self):
-        """`key[-1] == chip_id` selection must keep working on both backends."""
-        cache, counter = MappingCache(), Counter()
-        for backend in ("fake-quant", "circuit"):
-            key = mapping_key("m", "q", "chip00", backend=backend)
-            cache.get_or_program(key, counter.programmer(key))
-        assert cache.invalidate_where(lambda key: key[-1] == "chip00") == 2
-
-    def test_cross_backend_miss_counted(self):
-        """A miss whose (model, qconfig, chip) is resident under the other
-        backend is the collision the backend-aware key exists to prevent."""
-        cache, counter = MappingCache(), Counter()
-        fq = mapping_key("m", "q", "chip00", backend="fake-quant")
-        circuit = mapping_key("m", "q", "chip00", backend="circuit")
-        cache.get_or_program(fq, counter.programmer(fq))
-        assert cache.stats.cross_backend_misses == 0
-        cache.get_or_program(circuit, counter.programmer(circuit))
-        assert cache.stats.cross_backend_misses == 1
-        assert cache.stats.as_dict()["cross_backend_misses"] == 1
-
-    def test_plain_misses_not_counted_as_cross_backend(self):
-        cache, counter = MappingCache(), Counter()
-        cache.get_or_program(
-            mapping_key("m", "q", "chip00"), counter.programmer("a")
-        )
-        # Different chip, same backend: an ordinary miss.
-        cache.get_or_program(
-            mapping_key("m", "q", "chip01"), counter.programmer("b")
-        )
-        # Opaque (non-mapping_key) keys never participate.
-        cache.get_or_program("opaque", counter.programmer("c"))
-        assert cache.stats.misses == 3
-        assert cache.stats.cross_backend_misses == 0
-
     def test_program_seconds_accumulate(self):
         cache, counter = MappingCache(), Counter()
-        key = mapping_key("m", "A4W2", "c")
-        cache.get_or_program(key, counter.programmer(key))
+        cache.get_or_program("chip00", counter.programmer("chip00"))
         assert cache.stats.program_seconds > 0.0
 
 
 class TestEviction:
     def test_lru_evicts_least_recent(self):
         cache, counter = MappingCache(capacity=2), Counter()
-        a, b, c = (mapping_key("m", "q", cid) for cid in "abc")
+        a, b, c = "abc"
         cache.get_or_program(a, counter.programmer(a))
         cache.get_or_program(b, counter.programmer(b))
         cache.get_or_program(a, counter.programmer(a))  # refresh a
@@ -106,7 +58,7 @@ class TestEviction:
 
     def test_evicted_key_reprograms(self):
         cache, counter = MappingCache(capacity=1), Counter()
-        a, b = mapping_key("m", "q", "a"), mapping_key("m", "q", "b")
+        a, b = "a", "b"
         cache.get_or_program(a, counter.programmer(a))
         cache.get_or_program(b, counter.programmer(b))
         cache.get_or_program(a, counter.programmer(a))
@@ -116,24 +68,33 @@ class TestEviction:
     def test_capacity_none_never_evicts(self):
         cache, counter = MappingCache(capacity=None), Counter()
         for i in range(50):
-            key = mapping_key("m", "q", str(i))
+            key = str(i)
             cache.get_or_program(key, counter.programmer(key))
         assert len(cache) == 50
         assert cache.stats.evictions == 0
 
     def test_keys_ordered_lru_first(self):
         cache, counter = MappingCache(), Counter()
-        a, b = mapping_key("m", "q", "a"), mapping_key("m", "q", "b")
+        a, b = "a", "b"
         cache.get_or_program(a, counter.programmer(a))
         cache.get_or_program(b, counter.programmer(b))
         cache.get_or_program(a, counter.programmer(a))
         assert cache.keys == [b, a]
 
+    def test_on_evict_receives_evicted_key_and_mapping(self):
+        evicted = []
+        cache = MappingCache(capacity=1, on_evict=lambda *pair: evicted.append(pair))
+        counter = Counter()
+        cache.get_or_program("chip00", counter.programmer("chip00"))
+        cache.get_or_program("chip01", counter.programmer("chip01"))
+        cache.invalidate("chip01")  # deliberate drops do not fire the hook
+        assert evicted == [("chip00", "mapping-chip00")]
+
 
 class TestInvalidate:
     def test_invalidate_drops_entry(self):
         cache, counter = MappingCache(), Counter()
-        key = mapping_key("m", "q", "a")
+        key = "a"
         cache.get_or_program(key, counter.programmer(key))
         assert cache.invalidate(key)
         assert key not in cache
@@ -141,7 +102,7 @@ class TestInvalidate:
 
     def test_invalidate_counts_in_stats(self):
         cache, counter = MappingCache(), Counter()
-        key = mapping_key("m", "q", "a")
+        key = "a"
         cache.get_or_program(key, counter.programmer(key))
         cache.invalidate(key)
         cache.invalidate(key)  # already gone: not counted
@@ -149,51 +110,20 @@ class TestInvalidate:
         assert cache.stats.evictions == 0
         assert cache.stats.as_dict()["invalidations"] == 1
 
-    def test_invalidate_where_is_surgical(self):
-        """Recalibrating one chip must not flush the healthy fleet."""
-        cache, counter = MappingCache(), Counter()
-        keys = [mapping_key("m", "q", f"chip{i}") for i in range(4)]
-        for key in keys:
-            cache.get_or_program(key, counter.programmer(key))
-        dropped = cache.invalidate_where(lambda key: key[-1] == "chip2")
-        assert dropped == 1
-        assert keys[2] not in cache
-        assert all(key in cache for key in keys if key != keys[2])
-        assert cache.stats.invalidations == 1
-
-    def test_invalidate_where_matches_many(self):
-        cache, counter = MappingCache(), Counter()
-        for model in ("lenet", "vgg"):
-            for chip in ("a", "b"):
-                key = mapping_key(model, "q", chip)
-                cache.get_or_program(key, counter.programmer(key))
-        dropped = cache.invalidate_where(lambda key: key[0] == "lenet")
-        assert dropped == 2
-        assert len(cache) == 2
-        assert cache.stats.invalidations == 2
-
-    def test_invalidate_where_no_match(self):
-        cache, counter = MappingCache(), Counter()
-        key = mapping_key("m", "q", "a")
-        cache.get_or_program(key, counter.programmer(key))
-        assert cache.invalidate_where(lambda k: False) == 0
-        assert key in cache
-        assert cache.stats.invalidations == 0
-
     def test_peek_does_not_touch_stats_or_order(self):
         cache, counter = MappingCache(capacity=2), Counter()
-        a, b = mapping_key("m", "q", "a"), mapping_key("m", "q", "b")
+        a, b = "a", "b"
         cache.get_or_program(a, counter.programmer(a))
         cache.get_or_program(b, counter.programmer(b))
         lookups_before = cache.stats.lookups
         assert cache.peek(a) == "mapping-" + str(a)
-        assert cache.peek(mapping_key("m", "q", "zz")) is None
+        assert cache.peek("zz") is None
         assert cache.stats.lookups == lookups_before
         assert cache.keys == [a, b]  # peek did not refresh a's recency
 
     def test_clear_keeps_stats(self):
         cache, counter = MappingCache(), Counter()
-        key = mapping_key("m", "q", "a")
+        key = "a"
         cache.get_or_program(key, counter.programmer(key))
         cache.clear()
         assert len(cache) == 0

@@ -76,6 +76,44 @@ class TestValidation:
     @pytest.mark.parametrize(
         "overrides, match",
         [
+            ({"deaths": 2.5}, "deaths"),
+            ({"deaths": True}, "deaths"),
+            ({"stuck_chips": 1.5}, "stuck_chips"),
+            ({"stuck_chips": -1}, "stuck_chips"),
+            ({"horizon": float("nan")}, "horizon"),
+            ({"horizon": 2.5}, "horizon"),
+            ({"horizon": True}, "horizon"),
+            ({"latency_seconds": float("nan")}, "latency_seconds"),
+            ({"latency_seconds": float("inf")}, "latency_seconds"),
+            ({"latency_seconds": -0.5}, "latency_seconds"),
+            ({"transient_rate": float("nan")}, "transient_rate"),
+            ({"transient_rate": True}, "transient_rate"),
+            ({"latency_rate": float("inf")}, "latency_rate"),
+            ({"latency_rate": 1.0}, "latency_rate"),
+        ],
+    )
+    def test_invalid_fault_plan_rejected(self, overrides, match):
+        """Non-integral counts and non-finite reals fail when the plan is
+        built, not when the injector draws its schedule."""
+        with pytest.raises(ValueError, match=match):
+            FaultPlan(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"deaths": 0, "stuck_chips": 0, "horizon": 1},
+            {"deaths": np.int64(1), "stuck_chips": np.int32(2), "horizon": np.int64(16)},
+            {"transient_rate": 0.0, "latency_rate": 0.0, "latency_seconds": 0.0},
+            {"transient_rate": 0.999, "latency_rate": np.float64(0.5)},
+        ],
+    )
+    def test_boundary_fault_plan_accepted(self, overrides):
+        plan = FaultPlan(**overrides)
+        assert all(getattr(plan, name) == value for name, value in overrides.items())
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
             ({"max_attempts": 0}, "max_attempts"),
             ({"max_attempts": 1.5}, "max_attempts"),
             ({"max_attempts": True}, "max_attempts"),

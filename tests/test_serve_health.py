@@ -238,7 +238,7 @@ class TestEngineIntegration:
         victim = engine.fleet[1]
         replacement = engine.replace_chip(victim, reason="test")
         assert engine.cache.stats.invalidations == 1
-        resident = {key[-1] for key in engine.cache.keys}
+        resident = set(engine.cache.keys)
         assert victim.chip_id not in resident
         assert engine.fleet[0].chip_id in resident
         assert engine.fleet[2].chip_id in resident

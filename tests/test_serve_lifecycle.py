@@ -196,7 +196,7 @@ class TestRecalibration:
         lifecycle.recalibrate(engine.fleet[1])
         # the recalibration reprograms chip 1; chips 0/2 stayed resident
         assert engine.cache.stats.invalidations == 1
-        resident = {key[-1] for key in engine.cache.keys}
+        resident = set(engine.cache.keys)
         assert engine.fleet[0].chip_id in resident
         assert engine.fleet[2].chip_id in resident
 

@@ -22,8 +22,11 @@ and a throughput line)::
 
 ``--smoke`` shrinks the fleet and the request stream (and relaxes the
 speedup floor to 2x, since a 2-chip fleet amortizes less) so the CI smoke
-step finishes in well under a minute.  Every floor and parity check here
-compares runs made in the same process, so it holds on any host.
+step finishes in well under a minute.  The unfused and fused engines are
+timed in :data:`ROUNDS` alternating pairs; the median fused-over-unfused
+ratio is printed with its min and max, a report, not a gate.  Every floor
+and parity check here compares runs made in the same process, so it holds
+on any host.
 """
 
 from __future__ import annotations
@@ -62,6 +65,10 @@ MAX_BATCH = 32
 REQUESTS = 128
 CHAOS_CHIPS = 16
 GOODPUT_FLOOR = 0.95
+#: Alternating unfused/fused timing pairs behind the smoke entrypoint's ratio.
+ROUNDS = 5
+#: Fused runs whose best time sets the speedup the floor gates.
+GATED_RUNS = 3
 
 
 def _serving_workload(requests: int = REQUESTS):
@@ -99,19 +106,6 @@ def _timed_run(engine, workload, ids) -> float:
     started = time.perf_counter()
     engine.run(workload, ids=ids)
     return time.perf_counter() - started
-
-
-def _best_timed(build_engine, workload, ids, repeats: int = 3):
-    """Best-of-N wall time over fresh engines (one-core CI boxes are noisy,
-    so single-shot jitter must not trip the speedup floor).  Returns
-    ``(best_seconds, last_engine)``."""
-    best = None
-    engine = None
-    for _ in range(max(1, repeats)):
-        engine = build_engine()
-        elapsed = _timed_run(engine, workload, ids)
-        best = elapsed if best is None else min(best, elapsed)
-    return best, engine
 
 
 def test_batched_beats_sequential_3x():
@@ -152,8 +146,8 @@ def test_obs_cost_under_5pct_of_service_time():
     """The stage-meter calls one request triggers must cost < 5% of that
     request's measured service time.
 
-    The run's own ``span`` and ``event`` calls are counted (per-chip path,
-    64 requests; ``tests/test_obs_overhead.py`` pins the count at 104) and
+    The run's own ``span`` and ``event`` calls are counted (unstacked run,
+    64 requests; ``tests/test_obs_overhead.py`` pins the count at 97) and
     priced at the always-on path's measured per-call cost.
     """
     # Counted with the same subclass the tier-1 call-count test uses.
@@ -283,18 +277,22 @@ def main(argv=None) -> int:
                 fused=False),
         workload, ids,
     )
-    unfused, _ = _best_timed(
-        lambda: _engine(model, spec, max_batch, 4, num_chips=num_chips,
-                        backend=args.backend, fused=False),
-        workload, ids,
-    )
-    batched, engine = _best_timed(
-        lambda: _engine(model, spec, max_batch, 4, num_chips=num_chips,
-                        backend=args.backend),
-        workload, ids,
-    )
+    # Fresh engines in alternating pairs, the first run of each pair
+    # swapping every round, so drift in host speed lands on both sides.
+    # The best of the first GATED_RUNS fused times (one-core CI boxes are
+    # noisy) sets the speedup, so the floor's strictness does not move
+    # with ROUNDS.
+    times = {False: [], True: []}
+    for round_ in range(ROUNDS):
+        for fused in ((False, True) if round_ % 2 == 0 else (True, False)):
+            run = _engine(model, spec, max_batch, 4, num_chips=num_chips,
+                          backend=args.backend, fused=fused)
+            times[fused].append(_timed_run(run, workload, ids))
+            if fused:
+                engine = run
+    unfused, batched = min(times[False][:GATED_RUNS]), min(times[True][:GATED_RUNS])
     speedup = sequential / batched
-    fused_speedup = unfused / batched
+    ratios = [plain / stacked for plain, stacked in zip(times[False], times[True])]
     # Parity doubles as the reproducibility check: a fused and an unfused
     # engine at the same seed must serve bit-identical outputs and land on
     # the same telemetry digest.
@@ -316,12 +314,12 @@ def main(argv=None) -> int:
     print(f"fleet: {num_chips} chips, {requests} requests, max_batch={max_batch}, "
           f"backend={args.backend}")
     print(f"sequential: {requests / sequential:8.1f} samples/s")
-    print(f"unfused:    {requests / unfused:8.1f} samples/s")
-    print(f"fused:      {requests / batched:8.1f} samples/s   "
-          f"{speedup:.2f}x vs sequential, {fused_speedup:.2f}x vs unfused")
-    print(f"fused groups: {fused_stats['groups']} "
-          f"({fused_stats['batches']} batches, "
-          f"{fused_stats['fallback_batches']} fallbacks)")
+    print(f"unfused:    {requests / unfused:8.1f} samples/s  (best of {GATED_RUNS})")
+    print(f"fused:      {requests / batched:8.1f} samples/s  (best of {GATED_RUNS})   "
+          f"{speedup:.2f}x vs sequential")
+    print(f"fused vs unfused: median {np.median(ratios):.2f}x "
+          f"(min {min(ratios):.2f}x, max {max(ratios):.2f}x over {ROUNDS} pairs)")
+    print(f"fused groups: {fused_stats['groups']} ({fused_stats['batches']} batches)")
     print(f"request latency ms: p50 {1e3 * latency['p50']:.2f}  "
           f"p95 {1e3 * latency['p95']:.2f}  p99 {1e3 * latency['p99']:.2f}")
     breakdown = engine.obs.breakdown()

@@ -164,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--fused",
             action=argparse.BooleanOptionalAction,
             default=True,
-            help="batched cross-chip dispatch (bit-identical to per-chip "
-            "dispatch; --no-fused is a debugging/parity aid)",
+            help="stack a tick's staged batches into one forward (bit-identical "
+            "to running each on its own chip; --no-fused is the parity baseline)",
         )
         sub.add_argument("--max-batch", type=_positive_int, default=32)
         sub.add_argument(
@@ -1064,8 +1064,7 @@ def _cmd_serve_bench(args) -> int:
     print("\nbatched engine telemetry:")
     print(telemetry.format())
     print(f"fused dispatch: {telemetry.fused_groups} groups, "
-          f"{telemetry.fused_batches} batches, "
-          f"{telemetry.fused_fallback_batches} fallbacks")
+          f"{telemetry.fused_batches} batches")
     print(f"telemetry digest: {telemetry.digest()}")
     print()
     _print_stage_breakdown(batched.engine, title="per-stage breakdown (batched)")

@@ -81,16 +81,15 @@ class ServeConfig:
     runs the engine in.  Off by default: the tick-barrier behaviour every
     pre-gateway trace/bench was recorded under is unchanged.
 
-    ``fused`` enables the batched cross-chip dispatch path: when several
-    batches become due on the same tick, the engine stages them all
-    (scheduling, counters, and SLO shedding in exact per-batch dispatch
-    order) and executes the group through one
-    :class:`~repro.backends.FusedFleetForward` — bit-identical outputs
-    and an identical telemetry :meth:`~repro.serve.telemetry.ServeTelemetry.digest`,
-    just fewer numpy calls.  The engine falls back to per-chip dispatch
-    automatically whenever fusion cannot apply (an installed fault
-    injector, self-tuning corrections, an unstackable fleet, or a
-    single-batch tick), so turning it off is only ever a debugging aid.
+    ``fused`` lets a fault-free tick's staged batches run as one stacked
+    forward: the engine stages every due batch (scheduling, counters and
+    SLO shedding in exact per-batch dispatch order) and, when two or more
+    are staged on chips one :class:`~repro.backends.FusedFleetForward`
+    covers, executes them together — bit-identical outputs and an
+    identical telemetry :meth:`~repro.serve.telemetry.ServeTelemetry.digest`,
+    just fewer numpy calls.  Off, each batch runs on its own chip as soon
+    as it is booked; the sequential baseline (``max_batch=1``) turns it
+    off so that its one-request batches do not stack.
 
     ``max_resident_chips`` is the mapping cache's capacity: at most that
     many programmed :class:`~repro.backends.ProgrammedChip` objects stay
@@ -379,8 +378,8 @@ class InferenceEngine:
         fleet_spec: FleetSpec | None = None,
         obs: Observability | None = None,
     ) -> None:
-        if fleet_spec is None and num_chips < 1:
-            raise ValueError(f"num_chips must be >= 1, got {num_chips}")
+        if fleet_spec is None:
+            require_int("num_chips", num_chips, minimum=1)
         self.model = model
         self.spec = spec
         self.config = config
@@ -784,30 +783,13 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Dispatch: stage -> execute -> complete
     # ------------------------------------------------------------------
-    def _fusible(self) -> bool:
-        """Whether this tick's batches may take the fused path at all.
-
-        Fault injection perturbs individual dispatch attempts (penalties,
-        mid-flight :class:`~repro.serve.faults.ChipFault`) and self-tuning
-        is per-chip state the stacked kernels refuse — both route every
-        batch through the per-chip path, which is also what keeps chaos
-        runs trivially bit-identical with fusion enabled.
-        """
-        return (
-            self.config.fused
-            and self.faults is None
-            and self.config.self_tuning is None
-        )
-
     def _fused_for(self) -> FusedFleetForward | None:
         """The fleet-wide fused forward, rebuilt lazily; None if unstackable.
 
         Built from the *cache-resident* fleet only, through the cache's
         stats-neutral :meth:`~repro.serve.cache.MappingCache.peek`: the
         stack is a derived view, so building it must not program chips,
-        refresh drifted mappings, or perturb hit/miss accounting — cold or
-        stale chips are handled at stage time exactly as per-chip dispatch
-        would, and the stack rebuilds to cover them afterwards.
+        refresh drifted mappings, or perturb hit/miss accounting.
 
         Freshness is ``(identity, version)`` via
         :meth:`~repro.backends.FusedFleetForward.covers`: recalibration and
@@ -843,20 +825,20 @@ class InferenceEngine:
         """Dispatch one tick's due batches: ``stage -> execute -> complete``.
 
         Every batch is admitted by :meth:`_stage` and settled by
-        :meth:`_complete`; only the executor differs.  Several batches on a
-        fusible fleet run as one stacked forward (:meth:`_execute_fused`),
-        anything else runs batch by batch on its own chip
-        (:meth:`_execute_per_chip`).  Both give bit-identical outputs and
+        :meth:`_complete`; one fact picks the executor.  With a fault
+        injector installed, each batch runs on its own through the
+        retrying executor (:meth:`_execute_per_chip`), so the next batch's
+        scheduling sees this one's failure.  Without one, the staged
+        executor (:meth:`_execute_staged`) stages and books every batch
+        and runs them together or, on a tick that cannot stack, each as
+        soon as it is booked.  Both give bit-identical outputs and
         telemetry digests.
         """
         batches = list(batches)
         if not batches:
             return []
-        fused = None
-        if len(batches) > 1 and self._fusible():
-            fused = self._fused_for()
-        if fused is not None:
-            return self._execute_fused(fused, batches)
+        if self.faults is None:
+            return self._execute_staged(batches)
         served = []
         for batch in batches:
             served.extend(self._execute_per_chip(batch))
@@ -899,15 +881,14 @@ class InferenceEngine:
         return batch, chip
 
     def _execute_per_chip(self, batch: Batch) -> list[ServedRequest]:
-        """Per-chip executor: one batch on its chip, hedged on failure.
+        """Retrying executor: one batch on its chip, hedged on failure.
 
-        Batches run one at a time, so the next batch's scheduling sees this
-        one's outcome — a failure, a hedge, or a dead chip's replacement.
-        :meth:`_attempt` books the chip's served counters only after a
-        successful forward.
+        Runs while a fault injector is installed.  Batches run one at a
+        time, so the next batch's scheduling sees this one's outcome — a
+        failure, a hedge, or a dead chip's replacement.  :meth:`_attempt`
+        books the chip's served counters only after a successful forward.
         """
-        obs = self.obs
-        with obs.span("dispatch"):
+        with self.obs.span("dispatch"):
             staged = self._stage(batch)
             if staged is None:
                 return []
@@ -918,7 +899,6 @@ class InferenceEngine:
                 backup = self._hedge_candidate(chip)
                 if backup is not None:
                     self.telemetry.record_hedge(chip.chip_id, backup.chip_id)
-                    obs.event("hedge")
                     outcome = self._attempt(backup, batch, inputs)
                     if outcome is not None:
                         chip = backup
@@ -928,19 +908,34 @@ class InferenceEngine:
             outputs, seconds, energy_uj = outcome
         return self._complete(batch, chip, outputs, seconds, energy_uj)
 
-    def _execute_fused(self, fused: FusedFleetForward, batches) -> list[ServedRequest]:
-        """Fused executor: stage every batch, then one stacked forward.
+    def _execute_staged(self, batches: list[Batch]) -> list[ServedRequest]:
+        """Staged executor: stage and book every batch, then run them.
 
         Each batch's chip state is booked right after it is staged, before
         the next batch is scheduled, so load- and energy-aware policies
-        make exactly the choices a per-chip sequence would.  Booking ahead
-        of the forward is sound because this path never runs with a fault
-        injector installed: the forward cannot fail.
+        make exactly the choices a batch-by-batch sequence would.  Booking
+        ahead of the forward is sound because this executor only runs
+        without a fault injector: the forward cannot fail.
+
+        Two or more staged batches run as one stacked forward when
+        ``ServeConfig.fused`` is on, no chip is self-tuned and the fleet
+        stack (:meth:`_fused_for`) covers their chips; otherwise each runs
+        on its own chip.  A tick that cannot stack runs each batch as soon
+        as it is booked, so it holds at most one programmed chip beyond the
+        cache's.  Staging more distinct chips than the cache's capacity
+        evicts one of them, and no stack built from the resident fleet
+        covers an evicted chip, so such a tick runs what it has staged and
+        goes on batch by batch.
         """
         clock = self.obs.clock
         served: list[ServedRequest] = []
-        with self.obs.span("dispatch.fused"):
+        capacity = self.cache.capacity
+        stackable = (
+            len(batches) > 1 and self.config.fused and self.config.self_tuning is None
+        )
+        with self.obs.span("dispatch.tick"):
             staged = []
+            chip_ids = set()
             for batch in batches:
                 admitted = self._stage(batch)
                 if admitted is None:
@@ -951,14 +946,14 @@ class InferenceEngine:
                 inputs = batch.inputs()
                 energy_uj = self._book(chip, programmed, batch, inputs)
                 staged.append((batch, chip, programmed, inputs, energy_uj))
-            if not staged:
-                return served
-            members = [programmed for _, _, programmed, _, _ in staged]
-            if not fused.covers(members):
-                # A cold chip was programmed during staging (new object
-                # identity) — rebuild once from the now-warm fleet.
-                fused = self._fused_for()
-            if fused is not None and fused.covers(members):
+                if stackable and capacity is not None:
+                    chip_ids.add(chip.chip_id)
+                    stackable = len(chip_ids) <= capacity
+                if not stackable:
+                    served.extend(self._run_each(staged))
+                    staged = []
+            fused = self._fused_for() if len(staged) > 1 else None
+            if fused is not None and fused.covers([entry[2] for entry in staged]):
                 started = clock.now()
                 outputs = fused.forward(
                     [(programmed, inputs) for _, _, programmed, inputs, _ in staged]
@@ -974,16 +969,18 @@ class InferenceEngine:
                         self._complete(batch, chip, out, seconds, energy_uj)
                     )
             else:
-                # Unstackable after staging: finish each staged batch on
-                # its own chip (the assignments are already final).
-                self.telemetry.record_fused_fallback(len(staged))
-                for batch, chip, programmed, inputs, energy_uj in staged:
-                    started = clock.now()
-                    out = programmed.forward(inputs)
-                    seconds = clock.now() - started
-                    served.extend(
-                        self._complete(batch, chip, out, seconds, energy_uj)
-                    )
+                served.extend(self._run_each(staged))
+        return served
+
+    def _run_each(self, staged: list[tuple]) -> list[ServedRequest]:
+        """Run booked batches one by one, each on its own chip."""
+        clock = self.obs.clock
+        served: list[ServedRequest] = []
+        for batch, chip, programmed, inputs, energy_uj in staged:
+            started = clock.now()
+            out = programmed.forward(inputs)
+            seconds = clock.now() - started
+            served.extend(self._complete(batch, chip, out, seconds, energy_uj))
         return served
 
     def _book(
@@ -993,8 +990,8 @@ class InferenceEngine:
 
         The health success mark, the batch's deterministic energy cost, and
         the served counters: the fleet state the next batch's scheduling
-        reads.  The per-chip executor books after a successful forward, the
-        fused executor at stage time.
+        reads.  The retrying executor books after a successful forward, the
+        staged executor at stage time.
         """
         self.health.on_success(chip, self.now)
         cost = programmed.cost(inputs.shape)
@@ -1047,7 +1044,7 @@ class InferenceEngine:
     def _attempt(self, chip: FleetChip, batch: Batch, inputs) -> tuple | None:
         """One dispatch attempt on one chip; ``None`` means it failed.
 
-        The fault-injection point: an installed
+        The fault-injection point: the installed
         :class:`~repro.serve.faults.FaultInjector` gates every attempt.
         Failures (only :class:`~repro.serve.faults.ChipFault` — anything
         else is a bug and propagates) are absorbed into telemetry and the
@@ -1058,9 +1055,7 @@ class InferenceEngine:
         try:
             with self.obs.span("mapping"):
                 programmed = self.programmed_for(chip)
-            penalty = 0.0
-            if self.faults is not None:
-                penalty = self.faults.before_forward(chip)
+            penalty = self.faults.before_forward(chip)
             started = clock.now()
             outputs = programmed.forward(inputs)
             seconds = clock.now() - started + penalty
@@ -1068,7 +1063,6 @@ class InferenceEngine:
             self._last_fault_kind = fault.kind
             chip.fault_events += 1
             self.telemetry.record_fault(fault.kind, chip.chip_id)
-            self.obs.event("fault")
             if fault.kind == "dead":
                 self.retire_dead(chip)
             else:
@@ -1113,7 +1107,6 @@ class InferenceEngine:
         self.telemetry.record_dead_letter(reason)
         if reason == "deadline" and request.deadline is not None:
             self.telemetry.record_deadline(self.now, request.deadline - self.now)
-        self.obs.event("dead-letter")
 
     def _handle_failed_batch(self, batch: Batch, cause: str) -> None:
         """Park each request for a backoff retry, or dead-letter it.
@@ -1139,7 +1132,6 @@ class InferenceEngine:
                 release = self.now + retry.backoff_for(cycles)
                 self._parked.append((release, request))
                 self.telemetry.record_retry()
-                self.obs.event("retry")
 
     def _unpark(self) -> None:
         """Resubmit parked requests whose backoff has elapsed.
@@ -1171,7 +1163,12 @@ class InferenceEngine:
         if not due:
             return
         self._parked = [item for item in self._parked if item[0] > self.now]
-        for _, request in sorted(due, key=lambda item: (item[0], item[1].id)):
+        self._resubmit(due)
+
+    def _resubmit(self, parked: list[tuple[int, Request]]) -> None:
+        """Re-enter parked requests into the queue at the current tick, in
+        ``(release tick, id)`` order."""
+        for _, request in sorted(parked, key=lambda item: (item[0], item[1].id)):
             self.batcher.submit(
                 Request(
                     request.id,
@@ -1215,16 +1212,8 @@ class InferenceEngine:
         Parked retries are force-released first; a batch that fails here
         re-enters the retry machinery (drain afterwards to settle it).
         """
-        for _, request in sorted(self._parked, key=lambda item: (item[0], item[1].id)):
-            self.batcher.submit(
-                Request(
-                    request.id,
-                    request.payload,
-                    arrival=self.now,
-                    deadline=request.deadline,
-                )
-            )
-        self._parked = []
+        parked, self._parked = self._parked, []
+        self._resubmit(parked)
         return self._dispatch_tick(self.batcher.flush(self.now))
 
     def run(self, inputs, ids=None) -> dict[str, np.ndarray]:
@@ -1238,17 +1227,25 @@ class InferenceEngine:
         from the result and recorded in :attr:`dead_letters` instead.
         """
         inputs = np.asarray(inputs)
+        self._check_ids(ids, inputs)
         if ids is None:
-            requests = [self.submit(sample) for sample in inputs]
-        else:
-            if len(ids) != len(inputs):
-                raise ValueError("ids and inputs length mismatch")
-            if len(set(ids)) != len(ids):
-                raise ValueError("ids must be unique; duplicates would overwrite results")
-            requests = [
-                self.submit(sample, request_id) for sample, request_id in zip(inputs, ids)
-            ]
+            ids = [None] * len(inputs)
+        requests = [self.submit(sample, request_id) for sample, request_id in zip(inputs, ids)]
         self.drain()
+        return self._outputs(requests)
+
+    @staticmethod
+    def _check_ids(ids, inputs) -> None:
+        """Reject explicit ids that do not name each input exactly once."""
+        if ids is None:
+            return
+        if len(ids) != len(inputs):
+            raise ValueError("ids and inputs length mismatch")
+        if len(set(ids)) != len(ids):
+            raise ValueError("ids must be unique; duplicates would overwrite results")
+
+    def _outputs(self, requests: list[Request]) -> dict[str, np.ndarray]:
+        """``{id: logits}`` for the requests that completed, in submit order."""
         return {
             request.id: self._completed[request.id].output
             for request in requests
@@ -1284,11 +1281,7 @@ class InferenceEngine:
         dead-lettering replay bit-identically.
         """
         inputs = np.asarray(inputs)
-        if ids is not None:
-            if len(ids) != len(inputs):
-                raise ValueError("ids and inputs length mismatch")
-            if len(set(ids)) != len(ids):
-                raise ValueError("ids must be unique; duplicates would overwrite results")
+        self._check_ids(ids, inputs)
         schedule = trace.schedule(len(inputs))
         if any(b < a for a, b in zip(schedule, schedule[1:])):
             raise ValueError("trace schedule must be non-decreasing")
@@ -1312,11 +1305,7 @@ class InferenceEngine:
             if lifecycle is not None:
                 lifecycle.advance()
             self.step()
-        return {
-            request.id: self._completed[request.id].output
-            for request in submitted
-            if request.id in self._completed
-        }
+        return self._outputs(submitted)
 
     def close(self) -> None:
         """Release external resources; a no-op, since the engine holds none.

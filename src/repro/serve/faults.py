@@ -228,7 +228,6 @@ class FaultInjector:
         self._cursor = 0
         self._installed = True
         self.engine.faults = self
-        self.engine.obs.event("chaos.install")
         return list(self._schedule)
 
     @property

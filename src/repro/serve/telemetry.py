@@ -130,10 +130,6 @@ class ServeTelemetry:
         self._fused_batches = self.registry.counter(
             "serve_fused_batches_total", "batches served through the fused fleet path"
         )
-        self._fused_fallbacks = self.registry.counter(
-            "serve_fused_fallback_batches_total",
-            "batches dispatched per-chip while fusion was enabled",
-        )
         self._probes = self.registry.counter(
             "serve_probes_total", "chip quality probes run"
         )
@@ -291,10 +287,6 @@ class ServeTelemetry:
         self._fused_groups.inc()
         self._fused_batches.inc(int(batches))
 
-    def record_fused_fallback(self, batches: int = 1) -> None:
-        """Account ``batches`` batches dispatched per-chip despite fusion being on."""
-        self._fused_fallbacks.inc(int(batches))
-
     def record_probe(self) -> None:
         """Account one chip quality probe (one probe-set pass through a chip)."""
         self._probes.inc()
@@ -379,10 +371,6 @@ class ServeTelemetry:
         return self._fused_batches.value
 
     @property
-    def fused_fallback_batches(self) -> int:
-        return self._fused_fallbacks.value
-
-    @property
     def probes(self) -> int:
         return self._probes.value
 
@@ -438,9 +426,10 @@ class ServeTelemetry:
             return histogram.as_dict()
 
         # Collapse the cumulative SLO series to its last entry per tick:
-        # the fused path stages every same-tick batch before completing
-        # any, so *within* a tick deadline events interleave differently,
-        # but the per-tick end state is the same multiset of events.
+        # the staged executor stages every same-tick batch before
+        # completing any, so *within* a tick its deadline events interleave
+        # differently from a batch-by-batch run, but the per-tick end
+        # state is the same multiset of events.
         slo_by_tick: dict[int, tuple[int, int]] = {}
         for tick, met, violations in self.slo_series:
             slo_by_tick[int(tick)] = (met, violations)
@@ -541,7 +530,6 @@ class ServeTelemetry:
             "fused": {
                 "groups": self.fused_groups,
                 "batches": self.fused_batches,
-                "fallback_batches": self.fused_fallback_batches,
             },
             "probes": {
                 "run": self.probes,

@@ -26,7 +26,7 @@ from repro.obs import FakeClock, Observability
 from repro.quant.calibration import calibrate_model
 from repro.quant.ptq import convert_to_quantized
 from repro.quant.qconfig import QConfig
-from repro.serve import InferenceEngine, ServeConfig, UniformTrace
+from repro.serve import FaultInjector, FaultPlan, InferenceEngine, ServeConfig, UniformTrace
 from repro.variability.models import WeightProportionalVariance
 from repro.variability.sampler import VariabilitySpec
 
@@ -57,6 +57,12 @@ def _workload(dataset, requests=32):
     workload = np.concatenate([dataset.images] * reps)[:requests]
     ids = [f"r{i:04d}" for i in range(requests)]
     return workload, ids
+
+
+def _released_ticks(engine):
+    """Ticks that released a batch: on a fault-free run with no deadlines,
+    every released batch completes on the tick it was released."""
+    return len({done.completed_tick for done in engine.completed.values()})
 
 
 class CountingObservability(Observability):
@@ -98,9 +104,10 @@ class TestMetersNeverChangeResults:
 
 class TestObsCallCount:
     def test_null_obs_call_count_per_request(self, served_model):
-        """Per-chip dispatch makes one ``enqueue`` event per request, plus
-        ``batch`` and ``queue_wait`` events and ``dispatch``, ``schedule``
-        and ``mapping`` spans per batch — nothing else."""
+        """A fault-free run makes one ``enqueue`` event per request,
+        ``batch`` and ``queue_wait`` events and ``schedule`` and ``mapping``
+        spans per batch, and one ``dispatch.tick`` span per tick that
+        released a batch — nothing else."""
         model, dataset = served_model
         workload, ids = _workload(dataset, requests=64)
         obs = CountingObservability()
@@ -109,42 +116,40 @@ class TestObsCallCount:
         obs.calls = obs.spans = 0
         engine.run(workload, ids=ids)
         batches = engine.telemetry.batches
-        assert batches == 8
-        assert obs.calls == len(ids) + 5 * batches == 104
-        assert obs.spans == 3 * batches
+        ticks = _released_ticks(engine)
+        assert (batches, ticks) == (8, 1)
+        assert obs.calls == len(ids) + 4 * batches + ticks == 97
+        assert obs.spans == 2 * batches + ticks
 
 
 class TestStageCoverage:
     def test_every_stage_appears_in_the_breakdown(self, served_model):
-        """Per-chip dispatch (``fused=False``) meters the full stage chain."""
+        """An unstacked run (``fused=False``) meters the full stage chain."""
         model, dataset = served_model
         workload, ids = _workload(dataset)
         engine = _engine(model, fused=False)
         engine.run(workload, ids=ids)
         breakdown = engine.obs.breakdown()
-        for stage in ("enqueue", "batch", "queue_wait", "dispatch", "schedule",
+        for stage in ("enqueue", "batch", "queue_wait", "dispatch.tick", "schedule",
                       "mapping", "program"):
             assert breakdown[stage]["count"] > 0, f"no {stage!r} recorded"
         assert breakdown["enqueue"]["count"] == len(ids)
         assert breakdown["program"]["count"] == engine.cache.stats.misses
 
     def test_fused_stages_appear_in_the_breakdown(self, served_model):
-        """Fused dispatch (the default) swaps per-batch ``dispatch`` spans
-        for one ``dispatch.fused`` group span (plus ``dispatch.fuse`` for
-        the stack build); the per-request stages are unchanged."""
+        """Fused dispatch (the default) adds ``dispatch.fuse`` for the stack
+        build; the stacked group runs inside its tick's ``dispatch.tick``
+        span, and the per-request stages are unchanged.  The stack is built
+        after staging, so a cold fleet's first tick stacks too."""
         model, dataset = served_model
         workload, ids = _workload(dataset)
         engine = _engine(model)
-        # The stack builds from cache-resident chips only, so a cold
-        # fleet's first tick dispatches per-chip; warm up as a real
-        # deployment would.
-        engine.warm_up()
         engine.run(workload, ids=ids)
         breakdown = engine.obs.breakdown()
         for stage in ("enqueue", "batch", "schedule", "mapping", "program",
-                      "dispatch.fuse", "dispatch.fused"):
+                      "dispatch.fuse", "dispatch.tick"):
             assert breakdown[stage]["count"] > 0, f"no {stage!r} recorded"
-        assert engine.telemetry.fused_groups == breakdown["dispatch.fused"]["count"]
+        assert engine.telemetry.fused_groups == breakdown["dispatch.tick"]["count"]
 
     def test_breakdown_covers_dispatch_time(self, served_model):
         model, dataset = served_model
@@ -152,9 +157,27 @@ class TestStageCoverage:
         engine = _engine(model, fused=False)
         engine.run(workload, ids=ids)
         breakdown = engine.obs.breakdown()
-        # The dispatch span wraps schedule + mapping + forward.
+        # The dispatch.tick span wraps schedule + mapping + forward.
         inner = breakdown["schedule"]["total_s"] + breakdown["mapping"]["total_s"]
-        assert breakdown["dispatch"]["total_s"] >= inner
+        assert breakdown["dispatch.tick"]["total_s"] >= inner
+
+    def test_fault_injected_run_dispatches_batch_by_batch(self, served_model):
+        """With a fault injector installed, every cut batch (retried ones
+        included) runs through one ``dispatch`` span of the retrying
+        executor, and no tick runs the staged executor."""
+        model, dataset = served_model
+        workload, ids = _workload(dataset, requests=256)
+        engine = _engine(model)
+        engine.warm_up()
+        plan = FaultPlan(transient_rate=0.2, deaths=0, stuck_chips=0, seed=1)
+        FaultInjector(engine, plan).install()
+        engine.run_trace(workload, UniformTrace(rate=16.0), ids=ids)
+        breakdown = engine.obs.breakdown()
+        assert engine.telemetry.retries > 0
+        assert breakdown["batch"]["count"] > engine.telemetry.batches
+        assert breakdown["dispatch"]["count"] == breakdown["batch"]["count"]
+        assert "dispatch.tick" not in breakdown
+        assert engine.telemetry.fused_groups == 0
 
 
 class TestStageCountsExact:
@@ -176,8 +199,10 @@ class TestStageCountsExact:
         batches = engine.telemetry.batches
         assert batches == self.REQUESTS // 8
         assert stages["enqueue"]["count"] == self.REQUESTS
-        for stage in ("batch", "queue_wait", "schedule", "mapping", "dispatch"):
+        for stage in ("batch", "queue_wait", "schedule", "mapping"):
             assert stages[stage]["count"] == batches, stage
+        ticks = _released_ticks(engine)
+        assert stages["dispatch.tick"]["count"] == ticks == self.REQUESTS // 16
 
     def test_fused_counts(self, served_model):
         engine, stages = self._run(*served_model)
@@ -186,7 +211,8 @@ class TestStageCountsExact:
         assert stages["enqueue"]["count"] == self.REQUESTS
         for stage in ("batch", "queue_wait", "schedule", "mapping"):
             assert stages[stage]["count"] == telemetry.batches, stage
-        assert stages["dispatch.fused"]["count"] == telemetry.fused_groups
+        ticks = _released_ticks(engine)
+        assert stages["dispatch.tick"]["count"] == ticks == telemetry.fused_groups
 
 
 class TestTelemetryJson:

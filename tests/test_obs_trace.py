@@ -101,13 +101,13 @@ class TestStageMeters:
 
     def test_stage_meters_export_to_prometheus(self):
         obs = Observability(clock=FakeClock(step=1e-3))
-        with obs.span("dispatch.fused"):
+        with obs.span("dispatch.tick"):
             pass
-        obs.event("dead-letter")
+        obs.event("fuse.unstackable")
         text = to_prometheus(obs.registry)
-        assert "# TYPE stage_dispatch_fused histogram" in text
-        assert "stage_dispatch_fused_count 1" in text
-        assert "stage_dead_letter 1" in text
+        assert "# TYPE stage_dispatch_tick histogram" in text
+        assert "stage_dispatch_tick_count 1" in text
+        assert "stage_fuse_unstackable 1" in text
 
 
 class TestObservability:

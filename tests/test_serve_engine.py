@@ -60,6 +60,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             InferenceEngine(model, _spec(), num_chips=0)
 
+    @pytest.mark.parametrize(
+        "num_chips",
+        [True, 2.5, float("nan"), "3", 0, -1],
+        ids=["bool", "float", "nan", "str", "zero", "negative"],
+    )
+    def test_bad_num_chips_rejected(self, served_model, num_chips):
+        model, _ = served_model
+        with pytest.raises(ValueError, match="num_chips"):
+            InferenceEngine(model, _spec(), num_chips=num_chips)
+
+    def test_numpy_int_num_chips_accepted(self, served_model):
+        model, _ = served_model
+        engine = InferenceEngine(model, _spec(), num_chips=np.int64(3))
+        assert [chip.chip_id for chip in engine.fleet] == ["chip00", "chip01", "chip02"]
+
     def test_duplicate_ids_rejected(self, served_model):
         model, dataset = served_model
         with pytest.raises(ValueError, match="unique"):

@@ -4,8 +4,9 @@
 in everything the engine accounts for: per-request logits (bit-equal),
 chip assignments, and the telemetry digest — across tick-barrier and
 replay-trace admission, under mid-run recalibration, drift, fault maps,
-and spare provisioning, on both backends.  Chaos runs fall back to per-chip
-dispatch automatically, so parity there is structural, and asserted too.
+and spare provisioning, on both backends.  Chaos runs take the retrying
+executor whatever ``fused`` says, so parity there is structural, and
+asserted too.
 """
 
 import numpy as np
@@ -133,9 +134,66 @@ def test_fused_parity_on_replay_trace(served_model):
     assert fused.telemetry.digest() == plain.telemetry.digest()
 
 
+def test_cold_fleet_first_tick_stacks(served_model):
+    """The stack is built after staging, from the chips staging programmed,
+    so a cold fleet's first multi-batch tick already runs as one group."""
+    model, dataset = served_model
+    workload = _workload(dataset, 16)
+    engines = []
+    for fused in (True, False):
+        engine = _engine(model, fused, num_chips=4)
+        assert len(engine.cache) == 0
+        for i, sample in enumerate(workload):
+            engine.submit(sample, request_id=f"k{i:04d}")
+        engine.step()
+        engines.append(engine)
+    cold, plain = engines
+    assert cold.telemetry.batches == 4
+    assert cold.telemetry.fused_groups == 1
+    assert cold.telemetry.fused_batches == 4
+    assert plain.telemetry.fused_groups == 0
+    _assert_equivalent(cold, plain)
+
+
+@pytest.mark.parametrize(
+    "fused, config",
+    [(True, {}), (False, {}), (True, {"self_tuning": SelfTuningConfig()})],
+    ids=["fused", "unfused", "self-tuned"],
+)
+def test_unstackable_tick_holds_no_more_chips_than_the_cache(served_model, fused, config):
+    """A tick of twelve batches on six chips with two resident cannot stack:
+    each batch runs as soon as it is booked, so no more programmed chips
+    wait for a forward than the cache holds plus the one being staged."""
+    model, dataset = served_model
+    engine = _engine(model, fused, num_chips=6, max_resident_chips=2, **config)
+    waiting, peak = [], []
+    book, run_each = engine._book, engine._run_each
+
+    def booked(chip, programmed, batch, inputs):
+        waiting.append(programmed)
+        peak.append(len({id(p) for p in waiting}))
+        return book(chip, programmed, batch, inputs)
+
+    def ran(staged):
+        for entry in staged:
+            waiting.remove(entry[2])
+        return run_each(staged)
+
+    engine._book, engine._run_each = booked, ran
+    for i, sample in enumerate(_workload(dataset, 48)):
+        engine.submit(sample, request_id=f"m{i:04d}")
+    engine.step()
+    assert engine.telemetry.batches == 12
+    assert engine.cache.stats.evictions > 0
+    assert engine.telemetry.fused_groups == 0
+    assert waiting == []
+    assert max(peak) <= engine.cache.capacity + 1
+
+
 def test_fused_parity_under_chaos(served_model):
-    """An installed fault injector routes every batch per-chip, so a chaos
-    run is identical with fusion on or off — schedule, dead letters, bits."""
+    """An installed fault injector routes every batch through the retrying
+    executor, so a chaos run is identical with fusion on or off — schedule,
+    dead letters, bits."""
     model, dataset = served_model
     workload = _workload(dataset, 40)
     ids = [f"c{i:04d}" for i in range(len(workload))]
@@ -151,7 +209,7 @@ def test_fused_parity_under_chaos(served_model):
     assert chaos_fused.faults.schedule == chaos_plain.faults.schedule
     assert set(chaos_fused.dead_letters) == set(chaos_plain.dead_letters)
     _assert_equivalent(chaos_fused, chaos_plain)
-    assert chaos_fused.telemetry.fused_groups == 0  # structural fallback
+    assert chaos_fused.telemetry.fused_groups == 0  # the retrying executor never stacks
 
 
 def test_fused_parity_across_recalibration(served_model):
@@ -228,7 +286,8 @@ def test_fused_parity_under_drifting_lifecycle(served_model, backend, max_reside
         assert fused.telemetry.fused_groups > 0
     else:
         # Three due batches per tick on two resident chips never share one
-        # stack, so serving falls back per chip; the sweeps still chunk.
+        # stack, so each staged batch runs on its own chip; the sweeps
+        # still chunk.
         assert fused.cache.stats.spills > 0
     assert set(out_f) == set(out_p)
     assert all(np.array_equal(out_f[rid], out_p[rid]) for rid in out_p)
@@ -312,7 +371,6 @@ def test_fused_counters_in_report(served_model):
     section = engine.telemetry.report()["fused"]
     assert section["groups"] == engine.telemetry.fused_groups
     assert section["batches"] == engine.telemetry.fused_batches
-    assert section["fallback_batches"] == engine.telemetry.fused_fallback_batches
 
 
 def test_digest_is_deterministic_and_workload_sensitive(served_model):

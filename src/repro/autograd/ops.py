@@ -258,35 +258,6 @@ class GetItem(Function):
         return (out,)
 
 
-class Concat(Function):
-    """Concatenate tensors along ``axis`` (all operands differentiable)."""
-
-    def forward(self, *arrays, axis: int = 0):
-        self.axis = axis
-        self.sizes = [a.shape[axis] for a in arrays]
-        return np.concatenate(arrays, axis=axis)
-
-    def backward(self, grad):
-        splits = np.cumsum(self.sizes)[:-1]
-        return tuple(np.split(grad, splits, axis=self.axis))
-
-
-class Pad2d(Function):
-    """Zero-pad the last two (spatial) axes of an NCHW tensor."""
-
-    def forward(self, a, padding: tuple[int, int]):
-        ph, pw = padding
-        self.padding = (ph, pw)
-        pad_spec = [(0, 0)] * (a.ndim - 2) + [(ph, ph), (pw, pw)]
-        return np.pad(a, pad_spec)
-
-    def backward(self, grad):
-        ph, pw = self.padding
-        sl = [slice(None)] * (grad.ndim - 2)
-        sl += [slice(ph, grad.shape[-2] - ph), slice(pw, grad.shape[-1] - pw)]
-        return (grad[tuple(sl)],)
-
-
 class LogSoftmax(Function):
     """Numerically stable log-softmax along the last axis."""
 
@@ -319,16 +290,6 @@ def _restore_reduced_dims(grad, in_shape, axis, keepdims: bool):
     axes = _normalize_axes(axis, len(in_shape))
     shape = [1 if i in axes else s for i, s in enumerate(in_shape)]
     return grad.reshape(shape)
-
-
-def concat(tensors, axis: int = 0):
-    """Differentiable concatenation of a sequence of tensors."""
-    return Concat.apply(*tensors, axis=axis)
-
-
-def pad2d(tensor, padding: tuple[int, int]):
-    """Differentiable zero padding of the two trailing spatial axes."""
-    return Pad2d.apply(tensor, padding=padding)
 
 
 def log_softmax(tensor):

@@ -15,7 +15,6 @@ from repro.datasets.synthetic import (
     synthetic_mnist,
 )
 from repro.datasets.loaders import batch_iterator, batch_source
-from repro.datasets.registry import list_datasets, make_dataset
 
 __all__ = [
     "ArrayDataset",
@@ -25,6 +24,4 @@ __all__ = [
     "synthetic_cifar100",
     "batch_iterator",
     "batch_source",
-    "make_dataset",
-    "list_datasets",
 ]

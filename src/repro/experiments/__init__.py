@@ -10,7 +10,6 @@ from repro.experiments.configs import (
 from repro.experiments.runner import (
     MethodResult,
     run_method,
-    run_method_suite,
     train_method,
 )
 from repro.experiments.tables import format_table, format_series
@@ -25,7 +24,6 @@ __all__ = [
     "MethodResult",
     "train_method",
     "run_method",
-    "run_method_suite",
     "format_table",
     "format_series",
     "ResultStore",

@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="weight-proportional",
         )
         sub.add_argument("--scale", choices=sorted(EXPERIMENT_SCALES), default="tiny")
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=_nonnegative_int, default=0)
         sub.add_argument(
             "--self-tuning", choices=("none", "global", "layer"), default="none",
             help="attach a self-tuning architecture to every programmed chip",

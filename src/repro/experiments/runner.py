@@ -137,31 +137,3 @@ def run_method(
         robustness=robustness,
         extras={"backend": chip_backend.name},
     )
-
-
-def run_method_suite(
-    methods,
-    model_name: str,
-    workload: str,
-    qconfig: QConfig,
-    train_spec: VariabilitySpec,
-    eval_spec: VariabilitySpec,
-    scale: ExperimentScale,
-    method_config: MethodConfig = MethodConfig(),
-    backend: str | ChipBackend = "fake-quant",
-) -> dict[str, MethodResult]:
-    """Run several methods on the same workload/spec (one table column)."""
-    return {
-        method: run_method(
-            method,
-            model_name,
-            workload,
-            qconfig,
-            train_spec,
-            eval_spec,
-            scale,
-            method_config,
-            backend=backend,
-        )
-        for method in methods
-    }

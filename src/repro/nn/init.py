@@ -31,20 +31,6 @@ def kaiming_normal(shape: tuple[int, ...]) -> np.ndarray:
     return _GENERATOR.normal(0.0, std, size=shape)
 
 
-def kaiming_uniform(shape: tuple[int, ...]) -> np.ndarray:
-    """He-uniform init."""
-    bound = np.sqrt(6.0 / _fan_in(shape))
-    return _GENERATOR.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: tuple[int, ...]) -> np.ndarray:
-    """Glorot-normal init (tanh/linear layers)."""
-    fan_in = _fan_in(shape)
-    fan_out = shape[0] if len(shape) > 1 else shape[0]
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return _GENERATOR.normal(0.0, std, size=shape)
-
-
 def zeros(shape: tuple[int, ...]) -> np.ndarray:
     return np.zeros(shape)
 

@@ -21,7 +21,6 @@ from repro.selftuning.tuner import SelfTuner, SelfTuningConfig, correct_kind_for
 from repro.selftuning.wrap import attach_self_tuning, detach_self_tuning
 from repro.selftuning.overhead import (
     area_overhead,
-    flops_overhead,
     gtm_area_overhead,
     model_flops,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "detach_self_tuning",
     "area_overhead",
     "gtm_area_overhead",
-    "flops_overhead",
     "model_flops",
     "gtm_standard_error",
     "gtm_cells_for_target",

@@ -63,15 +63,3 @@ def tuning_flops(model, gtm_cells: int, ltm_columns: int) -> int:
             total += 2 * layer.mvm_input_dim() * ltm_columns
             total += 2 * layer.out_features
     return total
-
-
-def flops_overhead(
-    model,
-    input_shape: tuple[int, ...],
-    gtm_cells: int = 100_000,
-    ltm_columns: int = 1,
-) -> float:
-    """Self-tuning compute overhead as a fraction of base-model FLOPs."""
-    base = model_flops(model, input_shape)
-    extra = tuning_flops(model, gtm_cells, ltm_columns)
-    return extra / base

@@ -102,7 +102,7 @@ class ServeConfig:
 
     The sizes are checked at construction: ``max_batch`` and
     ``max_resident_chips`` are ints >= 1 (or ``None`` for the latter),
-    ``max_wait`` an int >= 0.
+    ``max_wait`` and ``seed`` ints >= 0.
     """
 
     max_batch: int = 32
@@ -120,6 +120,7 @@ class ServeConfig:
     def __post_init__(self) -> None:
         require_int("max_batch", self.max_batch, minimum=1)
         require_int("max_wait", self.max_wait, minimum=0)
+        require_int("seed", self.seed, minimum=0)
         if self.max_resident_chips is not None:
             require_int("max_resident_chips", self.max_resident_chips, minimum=1)
 
@@ -231,7 +232,7 @@ class FleetChip:
     fleet (``spec=None`` means "use the engine-wide spec").  ``age`` is the
     virtual time since the chip was last (re)programmed and
     ``recalibrations`` counts lifecycle recalibration events — both stay at
-    their defaults on static fleets and are maintained by
+    zero on static fleets and are maintained by
     :class:`~repro.serve.lifecycle.ChipLifecycle` on drifting ones.
     ``energy_uj`` accumulates the estimated physical energy of every batch
     dispatched to this chip (zero when the backend has no cost estimator)
@@ -262,17 +263,8 @@ class FleetChip:
         index: int,
         chip_id: str,
         variation: ChipVariation | None = None,
-        served_samples: int = 0,
-        served_batches: int = 0,
-        quality: float | None = None,
         technology: str = "generic",
         spec: VariabilitySpec | None = None,
-        age: float = 0.0,
-        recalibrations: int = 0,
-        mapping_stale: bool = False,
-        energy_uj: float = 0.0,
-        health: str = "healthy",
-        fault_events: int = 0,
         descriptor: ChipDescriptor | None = None,
     ) -> None:
         if variation is None and descriptor is None:
@@ -281,17 +273,17 @@ class FleetChip:
         self.chip_id = str(chip_id)
         self._variation = variation
         self.descriptor = descriptor
-        self.served_samples = served_samples
-        self.served_batches = served_batches
-        self.quality = quality
         self.technology = technology
         self.spec = spec
-        self.age = age
-        self.recalibrations = recalibrations
-        self.mapping_stale = mapping_stale
-        self.energy_uj = energy_uj
-        self.health = health
-        self.fault_events = fault_events
+        self.served_samples = 0
+        self.served_batches = 0
+        self.quality: float | None = None
+        self.age = 0.0
+        self.recalibrations = 0
+        self.mapping_stale = False
+        self.energy_uj = 0.0
+        self.health = "healthy"
+        self.fault_events = 0
         self.probe_deterministic = False
 
     @property

@@ -2,7 +2,7 @@
 
 from repro.training.optim import SGD, Adam, AdamW, Optimizer, clip_grad_norm
 from repro.training.schedule import ConstantLR, CosineLR, StepLR, WarmupCosineLR
-from repro.training.loop import evaluate_model, train_epoch
+from repro.training.loop import train_epoch
 from repro.training.qavat import QavatTrainer
 from repro.training.baselines import FloatVatTrainer, train_ptq_vat, train_qat, train_qavat
 from repro.training.distill import DistillationTrainer, distillation_loss, train_distilled
@@ -20,7 +20,6 @@ __all__ = [
     "CosineLR",
     "WarmupCosineLR",
     "train_epoch",
-    "evaluate_model",
     "QavatTrainer",
     "FloatVatTrainer",
     "train_qavat",

@@ -1,10 +1,10 @@
-"""Plain train/eval loops for float models."""
+"""Plain training loop for float models."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor
 from repro.nn import functional as F
 
 
@@ -20,16 +20,3 @@ def train_epoch(model, batches, optimizer, loss_fn=F.cross_entropy) -> float:
         losses.append(float(loss.data))
     return float(np.mean(losses)) if losses else 0.0
 
-
-def evaluate_model(model, batches) -> float:
-    """Top-1 accuracy of ``model`` over an iterable of (inputs, targets)."""
-    model.eval()
-    correct = 0
-    total = 0
-    with no_grad():
-        for inputs, targets in batches:
-            logits = model(Tensor(inputs))
-            predicted = logits.data.argmax(axis=-1)
-            correct += int((predicted == np.asarray(targets)).sum())
-            total += len(targets)
-    return correct / total if total else 0.0

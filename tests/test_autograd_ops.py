@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, gradcheck
-from repro.autograd.ops import concat, log_softmax, pad2d
+from repro.autograd.ops import log_softmax
 from repro.autograd.function import unbroadcast
 
 
@@ -116,16 +116,6 @@ class TestShapeGrads:
     def test_default_transpose_reverses(self, rng):
         a = t((2, 3, 4), rng)
         assert a.transpose().shape == (4, 3, 2)
-
-    def test_concat(self, rng):
-        a, b = t((2, 3), rng), t((2, 2), rng)
-        assert gradcheck(lambda a, b: (concat([a, b], axis=1) ** 2).sum(), [a, b])
-
-    def test_pad2d(self, rng):
-        a = t((1, 2, 3, 3), rng)
-        out = pad2d(a, (1, 2))
-        assert out.shape == (1, 2, 5, 7)
-        assert gradcheck(lambda a: (pad2d(a, (1, 2)) ** 2).sum(), [a])
 
 
 class TestLogSoftmax:

@@ -13,7 +13,6 @@ from repro.experiments import (
     format_table,
     model_for,
     run_method,
-    run_method_suite,
     train_method,
 )
 from repro.quant import QConfig
@@ -118,8 +117,6 @@ class TestRunnerEndToEnd:
         args = ("lenet5", "mnist", QConfig(), spec, spec, scale)
         with pytest.raises(KeyError, match="unknown backend"):
             run_method("qat", *args, backend=None)
-        with pytest.raises(KeyError, match="unknown backend"):
-            run_method_suite(["qat"], *args, backend=None)
 
     def test_circuit_backend_evaluation(self):
         """Scoring a trained method on crossbar-level hardware end to end."""

@@ -110,6 +110,7 @@ class TestParser:
             ["--num-chips", "0"],
             ["--max-batch", "-3"],
             ["--max-wait", "-1"],
+            ["--seed", "-1"],
             ["--max-resident-chips", "0"],
             ["--probe-k", "0"],
             ["--goodput-floor", "nan"],

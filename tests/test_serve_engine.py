@@ -99,6 +99,9 @@ class TestServeConfigValidation:
             ({"max_resident_chips": 0}, "max_resident_chips"),
             ({"max_resident_chips": -1}, "max_resident_chips"),
             ({"max_resident_chips": 2.0}, "max_resident_chips"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
         ],
     )
     def test_invalid_config_rejected_at_construction(self, overrides, match):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, no_grad
-from repro.datasets import make_dataset
+from repro.datasets import synthetic_mnist
 from repro.datasets.loaders import batch_iterator
 from repro.models import build_model
 from repro.nn import Linear, Sequential
@@ -271,7 +271,7 @@ class TestDistillationLoss:
 @pytest.mark.slow
 class TestDistillationPipeline:
     def test_distilled_student_learns(self):
-        train, test = make_dataset("mnist-mini", train_size=320, test_size=160, seed=0)
+        train, test = synthetic_mnist(train_per_class=32, test_per_class=16, seed=0)
         teacher = build_model("lenet5-mini")
         from repro.training import SGD as Sgd, train_epoch
 

@@ -32,6 +32,15 @@ Because the GEMMs are per-slice, groups do **not** require equal batch
 sizes — the merge only amortizes interpreter, im2col, quantization, and
 activation traffic across the fleet.
 
+The two kernels that dominate a stacked forward, the merged im2col
+gather and the fake-quant layers' per-chip GEMM slices, run on the
+host's spare cores when the patch matrix is large
+(:mod:`repro.nn.rowsplit`): the gather by sample range, the GEMMs by runs
+of whole chip slices, each part writing its own rows of one output.  A
+part is the same ``np.take`` or 2-D ``np.matmul`` call, so both rules
+above still hold on any core count.  The circuit tiles' per-chip chain
+stays on the calling thread, because it runs repro code (the ADC).
+
 Quality probes send one batch through every chip.  For that shape,
 :meth:`FusedFleetForward.forward_shared` runs each chip as its own
 one-chip group and shares only the first stacked layer's input work (the
@@ -51,6 +60,7 @@ replacement create new chip objects, which fail the identity check).
 from __future__ import annotations
 
 import weakref
+from functools import partial
 
 import numpy as np
 
@@ -58,6 +68,7 @@ from repro.autograd import Tensor, no_grad
 from repro.backends.base import ProgrammedChip
 from repro.backends.circuit import CircuitChip
 from repro.backends.fakequant import FakeQuantChip, replicate_for_programming
+from repro.nn import rowsplit
 from repro.nn.conv import im2col
 from repro.nn.module import Module
 from repro.pim.chip import MappedConv2d, MappedLinear, _ChipLayerModule
@@ -130,11 +141,18 @@ def _sliced_matmul(flat: np.ndarray, idx, bounds, scale: int, stacks) -> np.ndar
     is what makes the fused output bit-identical to per-chip dispatch on
     any BLAS (the transpose flag reaches the BLAS kernel, and output
     bits are *not* invariant to it at small M).
+
+    :func:`repro.nn.rowsplit.run` hands runs of whole chip slices to the
+    host's spare cores when ``flat`` is large; a slice is never cut, since
+    its row count picks the BLAS kernel.
     """
     out = np.empty((flat.shape[0], stacks[idx[0]].shape[1]))
-    for pos, start, stop in zip(idx, bounds[:-1], bounds[1:]):
-        rows = slice(start * scale, stop * scale)
-        np.matmul(flat[rows], stacks[pos], out=out[rows])
+    rows = [bound * scale for bound in bounds]
+    calls = [
+        partial(np.matmul, flat[start:stop], stacks[pos], out=out[start:stop])
+        for pos, start, stop in zip(idx, rows[:-1], rows[1:])
+    ]
+    rowsplit.run(rows, flat.nbytes, lambda first, stop: calls[first:stop])
     return out
 
 

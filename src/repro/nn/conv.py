@@ -7,12 +7,17 @@ which also makes it the natural integration point for crossbar simulation
 
 :func:`im2col` builds every patch matrix in the package: the fake-quant
 and circuit layers, their fused fleet stacks, average pooling, the LTM
-patch sums and training.  It is one gather per call: each sample is
-flattened, and ``np.take`` copies the elements that a precomputed index
-names.  The index holds the flat source offset of every patch element,
-with padded positions pointing at one zero slot appended to each sample.
-It depends only on the geometry (channels, height, width, kernel,
-stride, padding), so it is built once per geometry and cached.
+patch sums and training.  It is a gather: each sample is flattened, and
+``np.take`` copies the elements that a precomputed index names into a
+preallocated patch matrix.  The index holds the flat source offset of
+every patch element, with padded positions pointing at one zero slot
+appended to each sample.  It depends only on the geometry (channels,
+height, width, kernel, stride, padding), so it is built once per
+geometry and cached.  A patch matrix of at least
+:data:`repro.nn.rowsplit.FLOOR_BYTES` is gathered in sample ranges, one
+``np.take`` per range, on the calling thread and the host's spare cores
+(:mod:`repro.nn.rowsplit`); a copy is a copy, so the bytes do not depend
+on how the rows were split.
 
 :func:`col2im` is the backward of that gather: it scatter-adds patch
 gradients back to the input.  It accumulates into a channel-last
@@ -30,12 +35,12 @@ the weight and bias gradients.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from repro.autograd import Function, Tensor
-from repro.nn import init
+from repro.nn import init, rowsplit
 from repro.nn.module import Module, Parameter
 
 
@@ -76,10 +81,11 @@ def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) ->
     Row ``(n, ho, wo)`` is the ``(C, kh, kw)`` window of sample ``n`` at
     output position ``(ho, wo)``, flattened, with zeros where the window
     covers padding.  The result is a new C-contiguous array of ``x``'s
-    dtype, gathered in one ``np.take`` through the cached
-    :func:`_patch_index` of this geometry (the module docstring has the
-    scheme).  Raises ``ValueError`` when the kernel does not fit the
-    padded input.
+    dtype, gathered through the cached :func:`_patch_index` of this
+    geometry by one ``np.take`` per sample range: one range below
+    :data:`~repro.nn.rowsplit.FLOOR_BYTES`, up to one per CPU above it
+    (the module docstring has the scheme).  Raises ``ValueError`` when the
+    kernel does not fit the padded input.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -97,9 +103,18 @@ def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) ->
     src = x.reshape(n, c * h * w)
     if padding:
         src = np.concatenate((src, np.zeros((n, 1), dtype=x.dtype)), axis=1)
+    out = np.empty((n, *index.shape), dtype=x.dtype)
     # The index is in range by construction, so "wrap" never moves an
-    # entry; it only skips the per-element bounds check "raise" pays for.
-    return np.take(src, index, axis=1, mode="wrap")
+    # entry; it only skips the per-element bounds check "raise" pays for
+    # (and the buffered copy "raise" makes of ``out``).
+    rowsplit.run(
+        range(n + 1),
+        out.nbytes,
+        lambda first, stop: [
+            partial(src[first:stop].take, index, axis=1, out=out[first:stop], mode="wrap")
+        ],
+    )
+    return out
 
 
 def col2im(

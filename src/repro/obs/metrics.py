@@ -17,6 +17,8 @@ A :class:`MetricsRegistry` names and owns metric instances so exporters
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from functools import lru_cache
 
 
 class Counter:
@@ -67,6 +69,33 @@ class Gauge:
         return f"Gauge({self.name}={self.value:.6g})"
 
 
+@lru_cache(maxsize=64)
+def _bucket_floors(lo: float, hi: float, per_decade: int, n_log: int) -> tuple[float, ...]:
+    """The smallest double in ``[lo, hi)`` the log-bucket formula sends to
+    log bucket ``i`` or above, for ``i = 1 .. n_log - 1``.
+
+    The formula is ``int(log10(value / lo) * per_decade)``, clamped to
+    ``[0, n_log - 1]``, and it never decreases as ``value`` grows.  Each
+    floor starts from the nominal edge ``lo * 10 ** (i / per_decade)``
+    and steps one double at a time to where the formula changes, a few
+    steps once per geometry; in exchange each sample costs a
+    :func:`~bisect.bisect_right` instead of a ``log10``.
+    """
+
+    def index(value: float) -> int:
+        return int(math.log10(value / lo) * per_decade)
+
+    floors = []
+    for bucket in range(1, n_log):
+        value = lo * 10.0 ** (bucket / per_decade)
+        while value > lo and index(value) >= bucket:
+            value = math.nextafter(value, 0.0)
+        while value < hi and index(value) < bucket:
+            value = math.nextafter(value, math.inf)
+        floors.append(value)
+    return tuple(floors)
+
+
 class Histogram:
     """Streaming histogram over fixed log-spaced buckets with quantiles.
 
@@ -106,6 +135,7 @@ class Histogram:
         self._n_log = max(1, int(math.ceil(decades * self.buckets_per_decade - 1e-9)))
         # counts[0] is the underflow bucket [0, lo); counts[-1] is overflow.
         self.counts = [0] * (self._n_log + 2)
+        self._floors = _bucket_floors(self.lo, self.hi, self.buckets_per_decade, self._n_log)
         self.count = 0
         self.total = 0.0
         self._total_sq = 0.0
@@ -116,12 +146,20 @@ class Histogram:
     # Recording
     # ------------------------------------------------------------------
     def _bucket_index(self, value: float) -> int:
+        """Bucket of ``value``: log bucket ``i`` holds ``[floors[i-1], floors[i])``.
+
+        The same bucket as ``min(max(int(log10(value / lo) * per_decade),
+        0), n_log - 1) + 1``, found by bisecting the floors
+        :func:`_bucket_floors` computed from that formula once per
+        geometry.  A NaN raises, as the formula did.
+        """
         if value < self.lo:
             return 0
+        if value < self.hi:
+            return bisect_right(self._floors, value) + 1
         if value >= self.hi:
             return self._n_log + 1
-        index = int(math.log10(value / self.lo) * self.buckets_per_decade)
-        return min(max(index, 0), self._n_log - 1) + 1
+        raise ValueError(f"cannot bucket {value!r}")
 
     def observe(self, value: float, weight: int = 1) -> None:
         value = float(value)
@@ -131,8 +169,10 @@ class Histogram:
         self.count += weight
         self.total += value * weight
         self._total_sq += value * value * weight
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
 
     # ------------------------------------------------------------------
     # Meter surface

@@ -6,7 +6,7 @@ import pytest
 from repro.datasets import batch_source, synthetic_mnist
 from repro.datasets.synthetic import make_pattern_dataset
 from repro.models import build_model
-from repro.nn import init
+from repro.nn import init, rowsplit
 from repro.quant import QConfig
 from repro.training import train_qavat
 from repro.variability import VariabilitySpec, WeightProportionalVariance
@@ -21,6 +21,18 @@ def rng():
 def _deterministic_init():
     """Every test starts from the same parameter-init stream."""
     init.seed(0)
+
+
+@pytest.fixture(params=[1, 3], ids=["spare1", "spare3"])
+def forced_split(request, monkeypatch):
+    """Every im2col gather and sliced GEMM splits, over ``request.param``
+    spare workers of a fresh pool, whatever the host's core count."""
+    monkeypatch.setattr(rowsplit, "SPARE", request.param)
+    monkeypatch.setattr(rowsplit, "FLOOR_BYTES", 0)
+    monkeypatch.setattr(rowsplit, "_pool", None)
+    yield request.param
+    if rowsplit._pool is not None:
+        rowsplit._pool.shutdown(wait=True)
 
 
 @pytest.fixture

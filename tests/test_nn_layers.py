@@ -175,6 +175,26 @@ class TestIm2col:
                         _window_im2col(x, kernel, stride, padding),
                     )
 
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 3), (5, 5), (1, 3), (3, 2)])
+    def test_split_gather_matches_window_reference_byte_for_byte(
+        self, rng, forced_split, kernel, stride, padding
+    ):
+        """Split by sample range over the pool, the gather writes the same
+        bytes as the sliding-window lowering on the grid above, with an
+        empty batch, batches smaller than the part count, and larger ones."""
+        for batch in (0, 1, 2, 3, 7):
+            for channels in (1, 3):
+                for height, width in ((4, 7), (9, 6)):
+                    if kernel[0] > height + 2 * padding or kernel[1] > width + 2 * padding:
+                        continue
+                    x = _special_values(rng.normal(size=(batch, channels, height, width)))
+                    _assert_same_bytes(
+                        im2col(x, kernel, stride, padding),
+                        _window_im2col(x, kernel, stride, padding),
+                    )
+
     @pytest.mark.parametrize("padding", [0, 2])
     def test_non_contiguous_input_view(self, rng, padding):
         base = _special_values(rng.normal(size=(3, 6, 9, 14)))

@@ -1,6 +1,7 @@
 """Unit tests for repro.obs.metrics: counters, gauges, histograms, registry."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -156,6 +157,79 @@ class TestHistogramQuantiles:
         snapshot = json.loads(json.dumps(h.as_dict()))
         assert snapshot["count"] == 1
         assert snapshot["p99"] == 0.5
+
+
+#: Every geometry the program builds: the default (stage meters) and the
+#: serving telemetry's five.
+GEOMETRIES = [
+    (1e-6, 1e6, 10),
+    (0.5, 1e5, 20),
+    (1e-6, 1e3, 10),
+    (1e-3, 10.0, 20),
+    (1e-6, 1e9, 10),
+]
+
+
+def _formula_index(histogram, value):
+    """The bucket formula :class:`Histogram` used before its bucket floors.
+
+    Kept as the reference the floors must reproduce: the serving
+    telemetry digest hashes bucket counts.
+    """
+    if value < histogram.lo:
+        return 0
+    if value >= histogram.hi:
+        return histogram._n_log + 1
+    index = int(math.log10(value / histogram.lo) * histogram.buckets_per_decade)
+    return min(max(index, 0), histogram._n_log - 1) + 1
+
+
+def _ulps_around(value, steps=3):
+    """``value`` and the ``steps`` doubles on each side of it."""
+    below, above = [value], [value]
+    for _ in range(steps):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    return below[1:] + above
+
+
+class TestHistogramBuckets:
+    @pytest.mark.parametrize("lo, hi, per_decade", GEOMETRIES)
+    def test_bucket_index_matches_the_log_formula(self, lo, hi, per_decade):
+        """Log-uniform samples over the range and a decade either side,
+        every nominal bucket edge and every floor, each +-3 ulps, zero,
+        negatives and infinities."""
+        histogram = Histogram("h", lo=lo, hi=hi, buckets_per_decade=per_decade)
+        rng = np.random.default_rng(11)
+        values = list(10 ** rng.uniform(math.log10(lo) - 1, math.log10(hi) + 1, 20_000))
+        for index in range(histogram._n_log + 2):
+            values += _ulps_around(lo * 10 ** (index / per_decade))
+        for floor in histogram._floors:
+            values += _ulps_around(floor)
+        values += [0.0, -0.0, -1.0, lo, hi, math.inf, -math.inf]
+        got = [histogram._bucket_index(value) for value in values]
+        assert got == [_formula_index(histogram, value) for value in values]
+
+    @pytest.mark.parametrize("lo, hi, per_decade", GEOMETRIES)
+    def test_observe_keeps_counts_total_min_and_max(self, lo, hi, per_decade):
+        histogram = Histogram("h", lo=lo, hi=hi, buckets_per_decade=per_decade)
+        rng = np.random.default_rng(12)
+        values = [float(v) for v in 10 ** rng.uniform(math.log10(lo) - 1, math.log10(hi) + 1, 500)]
+        values += [0.0, -0.0, 2.0, -3.0]
+        counts, total = [0] * len(histogram.counts), 0.0
+        for value in values:
+            histogram.observe(value, weight=2)
+            counts[_formula_index(histogram, value)] += 2
+            total += value * 2
+        assert histogram.counts == counts
+        assert histogram.total == total
+        assert histogram.min == min(values) and histogram.max == max(values)
+
+    def test_nan_raises_as_the_formula_did(self):
+        histogram = Histogram("h")
+        with pytest.raises(ValueError):
+            histogram.observe(float("nan"))
+        assert histogram.count == 0
 
 
 class TestMetricsRegistry:

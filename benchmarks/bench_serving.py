@@ -15,15 +15,22 @@ Run under pytest for the full benchmark harness::
     PYTHONPATH=src python -m pytest benchmarks/bench_serving.py -q
 
 or directly for the fast smoke entrypoint (no pytest-benchmark timing,
-just the speedup floor, the fused/unfused output and digest parity checks
+just the speedup floor, the fused/per-chip output and digest parity checks
 and a throughput line)::
 
     PYTHONPATH=src python benchmarks/bench_serving.py
 
+The sequential baseline admits requests continuously in batches of one
+(:func:`_sequential`), so each runs alone on its chip.  The per-chip side
+of the smoke entrypoint's comparison is the batched engine under a fault
+plan that never fires (:data:`NO_FAULTS`): every batch then runs alone on
+its chip through the retrying executor, where the default engine stacks
+a tick's batches into one fused forward.
+
 ``--smoke`` shrinks the fleet and the request stream (and relaxes the
 speedup floor to 2x, since a 2-chip fleet amortizes less) so the CI smoke
-step finishes in well under a minute.  The unfused and fused engines are
-timed in :data:`ROUNDS` alternating pairs; the median fused-over-unfused
+step finishes in well under a minute.  The per-chip and fused engines are
+timed in :data:`ROUNDS` alternating pairs; the median fused-over-per-chip
 ratio is printed with its min and max, a report, not a gate.  Every floor
 and parity check here compares runs made in the same process, so it holds
 on any host.
@@ -65,10 +72,13 @@ MAX_BATCH = 32
 REQUESTS = 128
 CHAOS_CHIPS = 16
 GOODPUT_FLOOR = 0.95
-#: Alternating unfused/fused timing pairs behind the smoke entrypoint's ratio.
+#: Alternating per-chip/fused timing pairs behind the smoke entrypoint's ratio.
 ROUNDS = 5
 #: Fused runs whose best time sets the speedup the floor gates.
 GATED_RUNS = 3
+#: A fault plan that never fires: installed, it runs every batch alone on
+#: its chip (the retrying executor) without failing any.
+NO_FAULTS = FaultPlan(transient_rate=0.0, deaths=0, stuck_chips=0)
 
 
 def _serving_workload(requests: int = REQUESTS):
@@ -88,18 +98,31 @@ def _serving_workload(requests: int = REQUESTS):
 
 def _engine(model, spec, max_batch: int, max_wait: int, seed: int = 0,
             num_chips: int = NUM_CHIPS, backend: str = "fake-quant",
-            fused: bool = True):
+            continuous: bool = False, per_chip: bool = False):
+    """A warmed-up engine; ``per_chip`` installs :data:`NO_FAULTS`."""
     engine = InferenceEngine(
         model,
         spec,
         num_chips=num_chips,
         config=ServeConfig(
             max_batch=max_batch, max_wait=max_wait, seed=seed, backend=backend,
-            fused=fused,
+            continuous=continuous,
         ),
     )
     engine.warm_up()  # programming cost stays out of the serving measurement
+    if per_chip:
+        FaultInjector(engine, NO_FAULTS).install()
     return engine
+
+
+def _sequential(model, spec, **kwargs):
+    """The per-request baseline: batches of one, admitted continuously.
+
+    Each request dispatches alone the moment it is submitted.  Tick-barrier
+    admission would not be sequential: a tick's one-request batches would
+    stack into one fused forward.
+    """
+    return _engine(model, spec, 1, 0, continuous=True, **kwargs)
 
 
 def _timed_run(engine, workload, ids) -> float:
@@ -109,17 +132,10 @@ def _timed_run(engine, workload, ids) -> float:
 
 
 def test_batched_beats_sequential_3x():
-    """Acceptance: batched fleet throughput >= 3x sequential per-request.
-
-    The baseline is per-request dispatch *by definition*, so it runs with
-    ``fused=False`` — otherwise every single-request batch of the tick
-    would be stacked into one fused group and the baseline would stop
-    being sequential at all.
-    """
+    """Acceptance: batched fleet throughput >= 3x sequential per-request
+    (the baseline: :func:`_sequential`)."""
     model, spec, workload, ids = _serving_workload()
-    sequential = _timed_run(
-        _engine(model, spec, 1, 0, fused=False), workload, ids
-    )
+    sequential = _timed_run(_sequential(model, spec), workload, ids)
     batched = _timed_run(_engine(model, spec, MAX_BATCH, 4), workload, ids)
     speedup = sequential / batched
     print(f"\nsequential {REQUESTS / sequential:.0f} sps, "
@@ -146,9 +162,10 @@ def test_obs_cost_under_5pct_of_service_time():
     """The stage-meter calls one request triggers must cost < 5% of that
     request's measured service time.
 
-    The run's own ``span`` and ``event`` calls are counted (unstacked run,
-    64 requests; ``tests/test_obs_overhead.py`` pins the count at 97) and
-    priced at the always-on path's measured per-call cost.
+    The run's own ``span`` and ``event`` calls are counted (a per-chip run
+    under :data:`NO_FAULTS`, 64 requests; ``tests/test_obs_overhead.py``
+    pins the count at 104) and priced at the always-on path's measured
+    per-call cost.
     """
     # Counted with the same subclass the tier-1 call-count test uses.
     sys.path.insert(0, os.path.join(_ROOT, "tests"))
@@ -158,10 +175,10 @@ def test_obs_cost_under_5pct_of_service_time():
 
     def engine(obs=None):
         served = InferenceEngine(
-            model, spec, num_chips=2,
-            config=ServeConfig(max_batch=8, max_wait=2, fused=False), obs=obs,
+            model, spec, num_chips=2, config=ServeConfig(max_batch=8, max_wait=2), obs=obs,
         )
         served.warm_up()
+        FaultInjector(served, NO_FAULTS).install()
         return served
 
     counting = CountingObservability()
@@ -241,14 +258,14 @@ def test_batched_engine_throughput(benchmark):
 
 def test_sequential_engine_throughput(benchmark):
     """The per-request baseline the batched path is measured against
-    (``fused=False``: see :func:`test_batched_beats_sequential_3x`)."""
+    (:func:`_sequential`)."""
     model, spec, workload, ids = _serving_workload()
-    engine = _engine(model, spec, 1, 0, fused=False)
+    engine = _sequential(model, spec)
     benchmark(lambda: engine.run(workload, ids=ids))
 
 
 def main(argv=None) -> int:
-    """Fast smoke entrypoint: speedup + fused parity without pytest."""
+    """Fast smoke entrypoint: speedup + fused/per-chip parity without pytest."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--smoke",
@@ -273,8 +290,7 @@ def main(argv=None) -> int:
     floor = 1.2 if args.backend == "circuit" else (2.0 if args.smoke else 3.0)
     model, spec, workload, ids = _serving_workload(requests)
     sequential = _timed_run(
-        _engine(model, spec, 1, 0, num_chips=num_chips, backend=args.backend,
-                fused=False),
+        _sequential(model, spec, num_chips=num_chips, backend=args.backend),
         workload, ids,
     )
     # Fresh engines in alternating pairs, the first run of each pair
@@ -282,42 +298,39 @@ def main(argv=None) -> int:
     # The best of the first GATED_RUNS fused times (one-core CI boxes are
     # noisy) sets the speedup, so the floor's strictness does not move
     # with ROUNDS.
-    times = {False: [], True: []}
+    times = {True: [], False: []}
     for round_ in range(ROUNDS):
-        for fused in ((False, True) if round_ % 2 == 0 else (True, False)):
+        for per_chip in ((True, False) if round_ % 2 == 0 else (False, True)):
             run = _engine(model, spec, max_batch, 4, num_chips=num_chips,
-                          backend=args.backend, fused=fused)
-            times[fused].append(_timed_run(run, workload, ids))
-            if fused:
+                          backend=args.backend, per_chip=per_chip)
+            times[per_chip].append(_timed_run(run, workload, ids))
+            if not per_chip:
                 engine = run
-    unfused, batched = min(times[False][:GATED_RUNS]), min(times[True][:GATED_RUNS])
+    unstacked, batched = min(times[True][:GATED_RUNS]), min(times[False][:GATED_RUNS])
     speedup = sequential / batched
-    ratios = [plain / stacked for plain, stacked in zip(times[False], times[True])]
-    # Parity doubles as the reproducibility check: a fused and an unfused
+    ratios = [plain / stacked for plain, stacked in zip(times[True], times[False])]
+    # Parity doubles as the reproducibility check: a fused and a per-chip
     # engine at the same seed must serve bit-identical outputs and land on
     # the same telemetry digest.
-    fused_run = _engine(
-        model, spec, max_batch, 4, seed=3, num_chips=num_chips,
-        backend=args.backend,
-    )
-    unfused_run = _engine(
-        model, spec, max_batch, 4, seed=3, num_chips=num_chips,
-        backend=args.backend, fused=False,
+    fused_run, per_chip_run = (
+        _engine(model, spec, max_batch, 4, seed=3, num_chips=num_chips,
+                backend=args.backend, per_chip=per_chip)
+        for per_chip in (False, True)
     )
     first = fused_run.run(workload, ids=ids)
-    second = unfused_run.run(workload, ids=ids)
+    second = per_chip_run.run(workload, ids=ids)
     reproducible = all(np.array_equal(first[rid], second[rid]) for rid in ids)
-    parity = fused_run.telemetry.digest() == unfused_run.telemetry.digest()
+    parity = fused_run.telemetry.digest() == per_chip_run.telemetry.digest()
     report = engine.telemetry.report()
     latency = report["latency"]
     fused_stats = report["fused"]
     print(f"fleet: {num_chips} chips, {requests} requests, max_batch={max_batch}, "
           f"backend={args.backend}")
     print(f"sequential: {requests / sequential:8.1f} samples/s")
-    print(f"unfused:    {requests / unfused:8.1f} samples/s  (best of {GATED_RUNS})")
+    print(f"per-chip:   {requests / unstacked:8.1f} samples/s  (best of {GATED_RUNS})")
     print(f"fused:      {requests / batched:8.1f} samples/s  (best of {GATED_RUNS})   "
           f"{speedup:.2f}x vs sequential")
-    print(f"fused vs unfused: median {np.median(ratios):.2f}x "
+    print(f"fused vs per-chip: median {np.median(ratios):.2f}x "
           f"(min {min(ratios):.2f}x, max {max(ratios):.2f}x over {ROUNDS} pairs)")
     print(f"fused groups: {fused_stats['groups']} ({fused_stats['batches']} batches)")
     print(f"request latency ms: p50 {1e3 * latency['p50']:.2f}  "
@@ -328,8 +341,8 @@ def main(argv=None) -> int:
         print(f"  {name:<16s} x{stats['count']:<4d} "
               f"total {1e3 * stats['total_s']:8.2f} ms  "
               f"mean {1e3 * stats['mean_s']:.3f} ms")
-    print(f"fused/unfused output parity: {'ok' if reproducible else 'FAILED'}")
-    print(f"fused/unfused digest parity: {'ok' if parity else 'FAILED'}")
+    print(f"fused/per-chip output parity: {'ok' if reproducible else 'FAILED'}")
+    print(f"fused/per-chip digest parity: {'ok' if parity else 'FAILED'}")
     ok = speedup >= floor and reproducible and parity
     print("smoke: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1

@@ -87,6 +87,13 @@ def _nonnegative_int(value: str) -> int:
     return number
 
 
+def _sigma(value: str) -> float:
+    number = float(value)
+    if not 0.0 <= number < float("inf"):  # also rejects nan, which compares false
+        raise argparse.ArgumentTypeError(f"must be a finite real >= 0, got {value}")
+    return number
+
+
 def _fraction(value: str) -> float:
     number = float(value)
     if not 0.0 <= number <= 1.0:  # also rejects nan, which compares false
@@ -107,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         """The model, variation and chip-programming flags of every command."""
         sub.add_argument("--model", choices=sorted(WORKLOADS), default="lenet5")
         sub.add_argument("--notation", default="A4W2", help="AxWy bit widths")
-        sub.add_argument("--sigma", type=float, default=0.3, help="sigma_tot")
+        sub.add_argument("--sigma", type=_sigma, default=0.3, help="sigma_tot")
         sub.add_argument(
             "--scenario", choices=("within", "mixed"), default=scenario,
             help="within-chip only, or equal within+between (paper Sec. IV)",
@@ -143,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--method", choices=METHODS, default="qavat")
         if name == "sweep":
             sub.add_argument(
-                "--sigmas", type=float, nargs="+", default=[0.1, 0.3, 0.5],
+                "--sigmas", type=_sigma, nargs="+", default=[0.1, 0.3, 0.5],
                 help="sigma_tot values to sweep",
             )
         sub.add_argument("--samples", type=int, default=1, help="variation samples/step")
@@ -160,13 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="calibrate an untrained model (throughput-only runs, seconds not minutes)",
         )
         sub.add_argument("--num-chips", type=_positive_int, default=4)
-        sub.add_argument(
-            "--fused",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="stack a tick's staged batches into one forward (bit-identical "
-            "to running each on its own chip; --no-fused is the parity baseline)",
-        )
         sub.add_argument("--max-batch", type=_positive_int, default=32)
         sub.add_argument(
             "--max-wait", type=_nonnegative_int, default=4,
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         "faults; the run is executed twice to assert bit-reproducibility",
     )
     serve.add_argument(
-        "--fault-seed", type=int, default=0,
+        "--fault-seed", type=_nonnegative_int, default=0,
         help="seed of the chaos schedule and hazard stream (--chaos, --slo)",
     )
     serve.add_argument(
@@ -576,9 +576,10 @@ def _serve(args, model, test, eval_spec, policy: str, mode: str, trace) -> _Sess
     """Serve ``--requests`` test images through a fresh engine under ``policy``.
 
     ``mode`` is what rides along: ``"sequential"`` is the per-request
-    reference (batches of one, no wait, no fusion, since fusing
-    single-sample batches would measure a different baseline);
-    ``"batched"`` is the configured engine alone; ``"drift"`` ages, probes
+    reference (batches of one, no wait, admitted continuously, so each
+    request runs alone the moment it is submitted instead of stacking with
+    the tick's other one-request batches); ``"batched"`` is the configured
+    engine alone; ``"drift"`` ages, probes
     and recalibrates the fleet under a chip lifecycle; ``"chaos"`` installs
     the full fault plan; ``"slo"`` batches continuously under the plan's
     per-dispatch hazards alone (if a rate is set), which supply the retry
@@ -597,8 +598,7 @@ def _serve(args, model, test, eval_spec, policy: str, mode: str, trace) -> _Sess
         seed=args.seed,
         self_tuning=_self_tuning(args),
         backend=args.backend,
-        continuous=mode == "slo",
-        fused=args.fused and not sequential,
+        continuous=sequential or mode == "slo",
         max_resident_chips=args.max_resident_chips,
     )
     engine = InferenceEngine(

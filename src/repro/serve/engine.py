@@ -60,9 +60,12 @@ from repro.variability.sampler import ChipVariation, VariabilitySampler, Variabi
 class ServeConfig:
     """Engine knobs: batching, scheduling, cache sizing, self-tuning.
 
-    ``max_batch=1`` with ``max_wait=0`` degenerates to sequential
-    per-request serving — the baseline ``benchmarks/bench_serving.py``
-    measures against.
+    ``max_batch=1`` with ``max_wait=0`` and ``continuous`` on is
+    sequential per-request serving, the baseline
+    ``benchmarks/bench_serving.py`` measures against: each request runs
+    alone on its chip the moment it is submitted.  Without ``continuous``
+    it is not sequential, because the one-request batches due on a tick
+    run as one stacked forward.
 
     ``backend`` selects how chips are realized: a registered
     :mod:`repro.backends` name (``"fake-quant"``, ``"circuit"``) or a
@@ -80,16 +83,6 @@ class ServeConfig:
     barrier — the admission mode the :class:`repro.serve.api.Gateway`
     runs the engine in.  Off by default: the tick-barrier behaviour every
     pre-gateway trace/bench was recorded under is unchanged.
-
-    ``fused`` lets a fault-free tick's staged batches run as one stacked
-    forward: the engine stages every due batch (scheduling, counters and
-    SLO shedding in exact per-batch dispatch order) and, when two or more
-    are staged on chips one :class:`~repro.backends.FusedFleetForward`
-    covers, executes them together — bit-identical outputs and an
-    identical telemetry :meth:`~repro.serve.telemetry.ServeTelemetry.digest`,
-    just fewer numpy calls.  Off, each batch runs on its own chip as soon
-    as it is booked; the sequential baseline (``max_batch=1``) turns it
-    off so that its one-request batches do not stack.
 
     ``max_resident_chips`` is the mapping cache's capacity: at most that
     many programmed :class:`~repro.backends.ProgrammedChip` objects stay
@@ -114,7 +107,6 @@ class ServeConfig:
     retry: RetryPolicy = RetryPolicy()
     health: HealthConfig = HealthConfig()
     continuous: bool = False
-    fused: bool = True
     max_resident_chips: int | None = None
 
     def __post_init__(self) -> None:
@@ -432,10 +424,6 @@ class InferenceEngine:
         self._last_fault_kind = "dispatch-failed"
         #: Lazily-built fused forward over the whole fleet (or None).
         self._fused: FusedFleetForward | None = None
-        #: Fleet state key of the last failed fuse attempt — skips
-        #: re-raising :class:`UnstackableError` every tick until the
-        #: fleet's programmed state actually changes.
-        self._fused_failed_key: tuple | None = None
 
     # ------------------------------------------------------------------
     # Fleet programming
@@ -665,12 +653,12 @@ class InferenceEngine:
 
         The walk probes cache-resident chips first, then the rest, in
         chunks of at most ``max_resident_chips``, so a sweep programs only
-        the chips that were not resident.  With ``ServeConfig.fused`` each
-        chunk is stacked into one :class:`~repro.backends.FusedFleetForward`
-        whose first layer works on the probe batch once per chunk; each
-        chip then runs as its own one-chip group (bit-identical to
-        :meth:`probe_chip` alone).  A chunk that cannot be stacked
-        (self-tuning, noisy ADCs) is probed chip by chip.
+        the chips that were not resident.  Each chunk is stacked into one
+        :class:`~repro.backends.FusedFleetForward` whose first layer works
+        on the probe batch once per chunk; each chip then runs as its own
+        one-chip group (bit-identical to :meth:`probe_chip` alone).  A
+        chunk that cannot be stacked (self-tuning, noisy ADCs) is probed
+        chip by chip.
         """
         chips = list(self.fleet if chips is None else chips)
         # Resident first; the stable sort keeps fleet order within each group.
@@ -691,8 +679,6 @@ class InferenceEngine:
 
     def _probe_stack(self, chunk: list[FleetChip]) -> FusedFleetForward | None:
         """Program a probe chunk and stack it; None when it cannot be stacked."""
-        if not self.config.fused:
-            return None
         try:
             return FusedFleetForward.build([self.programmed_for(chip) for chip in chunk])
         except UnstackableError:
@@ -787,8 +773,8 @@ class InferenceEngine:
         :meth:`~repro.backends.FusedFleetForward.covers`: recalibration and
         spare provisioning swap chip objects, ``refresh``/``apply_faults``
         bump versions in place — any of those invalidates the stack.  A
-        fleet that failed to fuse is remembered by its state key so the
-        (validating, raising) build is not retried every tick.
+        build that refuses (a noisy-ADC circuit fleet) refuses at its
+        converter check, before any weight is stacked.
         """
         members = []
         for chip in self.fleet:
@@ -800,17 +786,11 @@ class InferenceEngine:
         if self._fused is not None and self._fused.covers(members):
             return self._fused
         self._fused = None
-        key = tuple((id(chip), chip.version) for chip in members)
-        if key == self._fused_failed_key:
-            return None
         try:
             with self.obs.span("dispatch.fuse"):
                 self._fused = FusedFleetForward.build(members)
         except UnstackableError:
-            self._fused_failed_key = key
-            self.obs.event("fuse.unstackable")
             return None
-        self._fused_failed_key = None
         return self._fused
 
     def _dispatch_tick(self, batches) -> list[ServedRequest]:
@@ -909,22 +889,19 @@ class InferenceEngine:
         ahead of the forward is sound because this executor only runs
         without a fault injector: the forward cannot fail.
 
-        Two or more staged batches run as one stacked forward when
-        ``ServeConfig.fused`` is on, no chip is self-tuned and the fleet
-        stack (:meth:`_fused_for`) covers their chips; otherwise each runs
-        on its own chip.  A tick that cannot stack runs each batch as soon
-        as it is booked, so it holds at most one programmed chip beyond the
-        cache's.  Staging more distinct chips than the cache's capacity
-        evicts one of them, and no stack built from the resident fleet
-        covers an evicted chip, so such a tick runs what it has staged and
-        goes on batch by batch.
+        Two or more staged batches run as one stacked forward when no chip
+        is self-tuned and the fleet stack (:meth:`_fused_for`) covers their
+        chips; otherwise each runs on its own chip.  A tick that cannot
+        stack runs each batch as soon as it is booked, so it holds at most
+        one programmed chip beyond the cache's.  Staging more distinct
+        chips than the cache's capacity evicts one of them, and no stack
+        built from the resident fleet covers an evicted chip, so such a
+        tick runs what it has staged and goes on batch by batch.
         """
         clock = self.obs.clock
         served: list[ServedRequest] = []
         capacity = self.cache.capacity
-        stackable = (
-            len(batches) > 1 and self.config.fused and self.config.self_tuning is None
-        )
+        stackable = len(batches) > 1 and self.config.self_tuning is None
         with self.obs.span("dispatch.tick"):
             staged = []
             chip_ids = set()

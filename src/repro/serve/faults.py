@@ -132,9 +132,10 @@ class FaultPlan:
     ``latency_seconds`` is the service-time penalty of one latency spike —
     spikes slow a dispatch down, they do not fail it.
 
-    The sizes are checked at construction: ``deaths`` and ``stuck_chips``
-    are ints >= 0, ``horizon`` an int >= 1, ``latency_seconds`` a finite
-    real >= 0, and both rates finite reals in ``[0, 1)``.
+    The sizes are checked at construction: ``deaths``, ``stuck_chips``
+    and ``seed`` are ints >= 0, ``horizon`` an int >= 1,
+    ``latency_seconds`` a finite real >= 0, and both rates finite reals
+    in ``[0, 1)``.
     """
 
     transient_rate: float = 0.05
@@ -156,6 +157,7 @@ class FaultPlan:
         require_int("deaths", self.deaths, minimum=0)
         require_int("stuck_chips", self.stuck_chips, minimum=0)
         require_int("horizon", self.horizon, minimum=1)
+        require_int("seed", self.seed, minimum=0)
 
 
 @dataclass(frozen=True)

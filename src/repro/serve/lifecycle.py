@@ -87,17 +87,16 @@ class LifecycleConfig:
     ``probe_subset`` bounds how many probe-set samples each quality probe
     consumes.  Probing is the lifecycle's one expensive operation: every
     probe round is one :meth:`~repro.serve.engine.InferenceEngine.probe_fleet`
-    sweep.  It programs only the chips that were not resident and, with
-    ``ServeConfig.fused``, computes the first layer's quantized patch
-    matrix of the subset once per resident chunk, running only the
-    remaining layers per chip.  Under aging drift with ``predict_quality``
-    on, a sweep defers every healthy chip whose estimate the aging law
-    predicts will still be at or above its floor at the next sweep (the
-    probe gate, :meth:`ChipLifecycle._due`); degraded and quarantined
-    chips, and every chip under temperature drift or without
-    ``predict_quality``, are probed at every sweep.  With
-    ``scale_by_technology`` (default) each chip's drift process is scaled
-    by its device technology's severity
+    sweep.  It programs only the chips that were not resident and, where
+    a resident chunk stacks, computes the first layer's quantized patch
+    matrix of the subset once per chunk, running only the remaining
+    layers per chip.  Under aging drift with ``predict_quality`` on, a
+    sweep defers every healthy chip whose estimate the aging law predicts
+    will still be at or above its floor at the next sweep (the probe
+    gate, :meth:`ChipLifecycle._due`); degraded and quarantined chips,
+    and every chip under temperature drift or without
+    ``predict_quality``, are probed at every sweep.  Each chip's drift
+    process is scaled by its device technology's severity
     (:attr:`repro.pim.devices.DeviceModel.drift_scale`), so a mixed fleet
     ages heterogeneously — the regime the drift-aware schedulers exist for.
     A sweep probes, and a recalibration runs its own probe, only for chips
@@ -123,7 +122,7 @@ class LifecycleConfig:
     Every real is finite: ``dt`` and ``probe_every`` (and the drift
     processes' ``t0`` and ``theta``) are > 0, ``nu``, ``sigma`` and
     ``predict_beta`` are >= 0; ``probe_subset`` and ``probe_k`` are ints
-    >= 1 (numpy ints pass, bools do not).
+    >= 1 and ``seed`` an int >= 0 (numpy ints pass, bools do not).
     """
 
     drift: str = "aging"
@@ -137,7 +136,6 @@ class LifecycleConfig:
     probe_k: int = 1
     accuracy_floor: float = 0.85
     recalibrate: bool = True
-    scale_by_technology: bool = True  # per-chip DeviceModel.drift_scale
     predict_quality: bool = True
     predict_beta: float = 6.0
     seed: int = 0
@@ -152,6 +150,7 @@ class LifecycleConfig:
         require_int("probe_subset", self.probe_subset, minimum=1)
         require_int("probe_k", self.probe_k, minimum=1)
         require_real("predict_beta", self.predict_beta, minimum=0.0)
+        require_int("seed", self.seed, minimum=0)
         # Both drift processes check their own parameters (nu, t0, theta,
         # sigma): fail here, not at install() or the first advance.
         AgingDrift(nu=self.nu, t0=self.t0)
@@ -321,8 +320,6 @@ class ChipLifecycle:
         technology (homogeneous fleets sampled straight from a
         ``VariabilitySpec``) drift at full severity.
         """
-        if not self.config.scale_by_technology:
-            return 1.0
         try:
             return device_by_name(chip.technology).drift_scale
         except KeyError:

@@ -406,11 +406,13 @@ class ServeTelemetry:
     def digest(self) -> str:
         """SHA-256 over the run's *deterministic* accounting.
 
-        The fused-parity contract in one hash: a ``fused=True`` and a
-        ``fused=False`` run of the same seeded workload must produce the
-        same digest, because fusion may change wall-clock timing and which
-        stage meters fire but never what was served, by whom, in which batches,
-        with what queueing, energy, SLO, or fault outcomes.  Wall-time
+        The executor-parity contract in one hash: a stacked run and a
+        per-chip run of the same seeded workload (one under a fault plan
+        that never fires, whose retrying executor runs each batch alone)
+        must produce the same digest, because stacking may change
+        wall-clock timing and which stage meters fire but never what was
+        served, by whom, in which batches, with what queueing, energy,
+        SLO, or fault outcomes.  Wall-time
         histograms (service/request seconds), the fused counters and the
         probe counters (how a quality was measured, not what it was) are
         therefore excluded; everything else — the served outputs (every

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.validation import require_real
 from repro.variability.models import VarianceModel, WeightProportionalVariance
 
 
@@ -17,12 +18,19 @@ class VariabilitySpec:
     ``sigma_within`` / ``sigma_between`` are the normalized standard
     deviations of the within-chip and between-chip components; the paper's
     Scenario 1 uses ``sigma_between = 0`` and Scenario 2 ("mixed-type") uses
-    ``sigma_between = sigma_within``.
+    ``sigma_between = sigma_within``.  Both sigmas are checked at
+    construction: finite reals >= 0.  A NaN or negative sigma would
+    otherwise sample a variation-free chip (draws happen only for a sigma
+    ``> 0``), and an infinite one NaN weights.
     """
 
     sigma_within: float = 0.0
     sigma_between: float = 0.0
     variance_model: VarianceModel = field(default_factory=WeightProportionalVariance)
+
+    def __post_init__(self) -> None:
+        require_real("sigma_within", self.sigma_within, minimum=0.0)
+        require_real("sigma_between", self.sigma_between, minimum=0.0)
 
     @property
     def sigma_total(self) -> float:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.backends import FusedFleetForward, UnstackableError
 from repro.datasets import batch_source, synthetic_mnist
 from repro.datasets.synthetic import make_pattern_dataset
 from repro.models import build_model
@@ -33,6 +34,19 @@ def forced_split(request, monkeypatch):
     yield request.param
     if rowsplit._pool is not None:
         rowsplit._pool.shutdown(wait=True)
+
+
+@pytest.fixture
+def refuse_stacking(monkeypatch):
+    """Call it to make every later ``FusedFleetForward.build`` refuse, as
+    it refuses a noisy-ADC fleet: from then on engines serve every tick
+    and probe every chunk chip by chip, the per-chip reference of the
+    parity tests that a fault plan cannot give (lifecycles, probe sweeps)."""
+
+    def refuse(cls, chips):
+        raise UnstackableError("stacking refused by the test")
+
+    return lambda: monkeypatch.setattr(FusedFleetForward, "build", classmethod(refuse))
 
 
 @pytest.fixture

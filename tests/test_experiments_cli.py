@@ -111,6 +111,7 @@ class TestParser:
             ["--max-batch", "-3"],
             ["--max-wait", "-1"],
             ["--seed", "-1"],
+            ["--fault-seed", "-3"],
             ["--max-resident-chips", "0"],
             ["--probe-k", "0"],
             ["--goodput-floor", "nan"],
@@ -124,6 +125,27 @@ class TestParser:
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["serve-bench", *flags])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve-bench", "--sigma", "nan"],
+            ["lifetime-bench", "--sigma", "-0.3"],
+            ["run", "--sigma", "inf"],
+            ["compare", "--sigma", "-0.3"],
+            ["sweep", "--sigmas", "0.1", "nan"],
+        ],
+        ids=["serve-bench-nan", "lifetime-bench-negative", "run-inf", "compare-negative",
+             "sweep-nan"],
+    )
+    def test_bad_sigma_rejected_at_parse_time(self, capsys, argv):
+        """A NaN, negative or infinite sigma is a usage error: it would
+        sample a variation-free fleet (or NaN logits) under a table titled
+        with the bad value."""
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(argv)
+        assert exited.value.code == 2
+        assert "must be a finite real >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value", [("--gtm-cells", "0"), ("--ltm-columns", "-3")]
@@ -215,7 +237,7 @@ class TestCliEndToEnd:
         assert record["telemetry"]["requests"] == 48
         assert record["cache"]["misses"] >= 2
 
-    def test_serve_bench_drift_races_policies(self, tmp_path, capsys):
+    def test_serve_bench_drift_races_policies(self, tmp_path, capsys, refuse_stacking):
         argv = [
             "serve-bench",
             "--drift",
@@ -242,7 +264,8 @@ class TestCliEndToEnd:
             "(accuracy-weighted)", "(drift-aware)", "(round-robin)",
         ]
         # Per-chip dispatch serves, probes and recalibrates the same story.
-        code = main([*argv, "--no-fused", "--results-dir", str(tmp_path / "unfused")])
+        refuse_stacking()
+        code = main([*argv, "--results-dir", str(tmp_path / "unfused")])
         assert code == 0
         assert _digests(capsys.readouterr().out) == digests
 

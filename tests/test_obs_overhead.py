@@ -52,6 +52,19 @@ def _engine(model, obs=None, **config):
     )
 
 
+#: A fault plan that never fires: installed, it sends every batch through
+#: the retrying executor, one batch at a time on its own chip.
+NO_FAULTS = FaultPlan(transient_rate=0.0, deaths=0, stuck_chips=0)
+
+
+def _per_chip(model, obs=None, **config):
+    """An engine that serves every batch alone on its chip (the retrying
+    executor, under :data:`NO_FAULTS`)."""
+    engine = _engine(model, obs=obs, **config)
+    FaultInjector(engine, NO_FAULTS).install()
+    return engine
+
+
 def _workload(dataset, requests=32):
     reps = 1 + (requests - 1) // len(dataset)
     workload = np.concatenate([dataset.images] * reps)[:requests]
@@ -104,33 +117,36 @@ class TestMetersNeverChangeResults:
 
 class TestObsCallCount:
     def test_null_obs_call_count_per_request(self, served_model):
-        """A fault-free run makes one ``enqueue`` event per request,
-        ``batch`` and ``queue_wait`` events and ``schedule`` and ``mapping``
-        spans per batch, and one ``dispatch.tick`` span per tick that
-        released a batch — nothing else."""
+        """A per-chip run under a fault plan that never fires makes one
+        ``enqueue`` event per request, and per batch ``batch`` and
+        ``queue_wait`` events and ``dispatch``, ``schedule`` and
+        ``mapping`` spans — nothing else: ``requests + 5 * batches``
+        calls.  (A stacked tick makes one ``dispatch.tick`` span per tick
+        instead of one ``dispatch`` span per batch.)"""
         model, dataset = served_model
         workload, ids = _workload(dataset, requests=64)
         obs = CountingObservability()
-        engine = _engine(model, obs=obs, fused=False)
+        engine = _per_chip(model, obs=obs)
         engine.warm_up()
         obs.calls = obs.spans = 0
         engine.run(workload, ids=ids)
         batches = engine.telemetry.batches
         ticks = _released_ticks(engine)
         assert (batches, ticks) == (8, 1)
-        assert obs.calls == len(ids) + 4 * batches + ticks == 97
-        assert obs.spans == 2 * batches + ticks
+        assert obs.calls == len(ids) + 5 * batches == 104
+        assert obs.spans == 3 * batches
 
 
 class TestStageCoverage:
     def test_every_stage_appears_in_the_breakdown(self, served_model):
-        """An unstacked run (``fused=False``) meters the full stage chain."""
+        """A per-chip run (the retrying executor) meters the full stage
+        chain."""
         model, dataset = served_model
         workload, ids = _workload(dataset)
-        engine = _engine(model, fused=False)
+        engine = _per_chip(model)
         engine.run(workload, ids=ids)
         breakdown = engine.obs.breakdown()
-        for stage in ("enqueue", "batch", "queue_wait", "dispatch.tick", "schedule",
+        for stage in ("enqueue", "batch", "queue_wait", "dispatch", "schedule",
                       "mapping", "program"):
             assert breakdown[stage]["count"] > 0, f"no {stage!r} recorded"
         assert breakdown["enqueue"]["count"] == len(ids)
@@ -154,12 +170,12 @@ class TestStageCoverage:
     def test_breakdown_covers_dispatch_time(self, served_model):
         model, dataset = served_model
         workload, ids = _workload(dataset)
-        engine = _engine(model, fused=False)
+        engine = _per_chip(model)
         engine.run(workload, ids=ids)
         breakdown = engine.obs.breakdown()
-        # The dispatch.tick span wraps schedule + mapping + forward.
+        # Each batch's dispatch span wraps its schedule + mapping + forward.
         inner = breakdown["schedule"]["total_s"] + breakdown["mapping"]["total_s"]
-        assert breakdown["dispatch.tick"]["total_s"] >= inner
+        assert breakdown["dispatch"]["total_s"] >= inner
 
     def test_fault_injected_run_dispatches_batch_by_batch(self, served_model):
         """With a fault injector installed, every cut batch (retried ones
@@ -186,23 +202,24 @@ class TestStageCountsExact:
 
     REQUESTS = 4096
 
-    def _run(self, model, dataset, **config):
+    def _run(self, model, dataset, per_chip=False):
         workload, ids = _workload(dataset, requests=self.REQUESTS)
-        engine = _engine(model, **config)
+        engine = _per_chip(model) if per_chip else _engine(model)
         engine.warm_up()
         outputs = engine.run_trace(workload, UniformTrace(rate=16.0), ids=ids)
         assert len(outputs) == self.REQUESTS
         return engine, engine.obs.breakdown()
 
     def test_per_chip_counts(self, served_model):
-        engine, stages = self._run(*served_model, fused=False)
+        engine, stages = self._run(*served_model, per_chip=True)
         batches = engine.telemetry.batches
         assert batches == self.REQUESTS // 8
         assert stages["enqueue"]["count"] == self.REQUESTS
-        for stage in ("batch", "queue_wait", "schedule", "mapping"):
+        for stage in ("batch", "queue_wait", "schedule", "mapping", "dispatch"):
             assert stages[stage]["count"] == batches, stage
-        ticks = _released_ticks(engine)
-        assert stages["dispatch.tick"]["count"] == ticks == self.REQUESTS // 16
+        assert _released_ticks(engine) == self.REQUESTS // 16
+        assert "dispatch.tick" not in stages
+        assert engine.telemetry.fused_groups == 0
 
     def test_fused_counts(self, served_model):
         engine, stages = self._run(*served_model)

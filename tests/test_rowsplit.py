@@ -209,7 +209,7 @@ def _stacked_session(model, dataset, backend):
         model,
         VariabilitySpec.mixed(0.2, WeightProportionalVariance()),
         num_chips=3,
-        config=ServeConfig(fused=True, max_batch=4, max_wait=2, seed=5, backend=backend),
+        config=ServeConfig(max_batch=4, max_wait=2, seed=5, backend=backend),
     )
     for i, sample in enumerate(np.concatenate([dataset.images] * 2)[:26]):
         engine.submit(sample, request_id=f"r{i:03d}")

@@ -90,6 +90,9 @@ class TestValidation:
             ({"transient_rate": True}, "transient_rate"),
             ({"latency_rate": float("inf")}, "latency_rate"),
             ({"latency_rate": 1.0}, "latency_rate"),
+            # numpy refuses a negative seed only when the injector is built.
+            ({"seed": -3}, "seed"),
+            ({"seed": True}, "seed"),
         ],
     )
     def test_invalid_fault_plan_rejected(self, overrides, match):

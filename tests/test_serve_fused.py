@@ -1,12 +1,20 @@
-"""Engine-level parity tests for fused cross-chip dispatch.
+"""Engine-level parity tests for stacked cross-chip dispatch.
 
-``ServeConfig(fused=True)`` vs ``fused=False`` must be *indistinguishable*
-in everything the engine accounts for: per-request logits (bit-equal),
-chip assignments, and the telemetry digest — across tick-barrier and
-replay-trace admission, under mid-run recalibration, drift, fault maps,
-and spare provisioning, on both backends.  Chaos runs take the retrying
-executor whatever ``fused`` says, so parity there is structural, and
-asserted too.
+A stacked run must be *indistinguishable* from running each batch on its
+own chip in everything the engine accounts for: per-request logits
+(bit-equal), chip assignments, and the telemetry digest — across
+tick-barrier and replay-trace admission, under mid-run recalibration,
+drift, fault maps, and spare provisioning, on both backends.
+
+The per-chip reference is reached through public paths.  Serving parity
+installs a fault plan that never fires (:func:`_per_chip`): the engine
+then runs every batch through its retrying executor, so these tests also
+pin that both executors serve the same bits.  Lifecycle parity, which
+also covers probe sweeps, refuses every stack build instead (the
+``refuse_stacking`` fixture); probe parity compares against
+:meth:`~repro.serve.InferenceEngine.probe_chip` without a stack.  Chaos
+runs take the retrying executor whether the fleet can stack or not, so
+parity there is structural, and asserted too.
 """
 
 import numpy as np
@@ -52,7 +60,7 @@ def _spec(sigma=0.2):
     return VariabilitySpec.mixed(sigma, WeightProportionalVariance())
 
 
-def _engine(model, fused, num_chips=3, **config):
+def _engine(model, num_chips=3, **config):
     config.setdefault("max_batch", 4)
     config.setdefault("max_wait", 2)
     config.setdefault("seed", 5)
@@ -60,8 +68,19 @@ def _engine(model, fused, num_chips=3, **config):
         model,
         _spec(),
         num_chips=num_chips,
-        config=ServeConfig(fused=fused, **config),
+        config=ServeConfig(**config),
     )
+
+
+#: A fault plan that never fires: no transients, deaths or stuck-at maps.
+NO_FAULTS = FaultPlan(transient_rate=0.0, deaths=0, stuck_chips=0)
+
+
+def _per_chip(engine):
+    """Install :data:`NO_FAULTS`, so every batch runs through the retrying
+    executor on its own chip: the per-chip reference of serving parity."""
+    FaultInjector(engine, NO_FAULTS).install()
+    return engine
 
 
 def _workload(dataset, requests):
@@ -101,8 +120,8 @@ def _assert_equivalent(fused_engine, plain_engine):
 def test_fused_serving_is_bit_identical(served_model, backend):
     model, dataset = served_model
     workload = _workload(dataset, 36)
-    fused = _serve_bursty(_engine(model, True, backend=backend), workload)
-    plain = _serve_bursty(_engine(model, False, backend=backend), workload)
+    fused = _serve_bursty(_engine(model, backend=backend), workload)
+    plain = _serve_bursty(_per_chip(_engine(model, backend=backend)), workload)
     _assert_equivalent(fused, plain)
     assert fused.telemetry.fused_groups > 0
     assert fused.telemetry.fused_batches > fused.telemetry.fused_groups
@@ -114,8 +133,8 @@ def test_fused_parity_across_policies(served_model, policy):
     """Staged counter/energy bumps reproduce every policy's choices."""
     model, dataset = served_model
     workload = _workload(dataset, 36)
-    fused = _serve_bursty(_engine(model, True, policy=policy), workload)
-    plain = _serve_bursty(_engine(model, False, policy=policy), workload)
+    fused = _serve_bursty(_engine(model, policy=policy), workload)
+    plain = _serve_bursty(_per_chip(_engine(model, policy=policy)), workload)
     _assert_equivalent(fused, plain)
     assert fused.telemetry.fused_groups > 0
 
@@ -125,8 +144,8 @@ def test_fused_parity_on_replay_trace(served_model):
     workload = _workload(dataset, 40)
     ids = [f"t{i:04d}" for i in range(len(workload))]
     trace = ReplayTrace.from_trace(UniformTrace(rate=10.0), len(ids))
-    fused = _engine(model, True)
-    plain = _engine(model, False)
+    fused = _engine(model)
+    plain = _per_chip(_engine(model))
     out_f = fused.run_trace(workload, trace, ids=ids)
     out_p = plain.run_trace(workload, trace, ids=ids)
     assert set(out_f) == set(out_p)
@@ -140,8 +159,10 @@ def test_cold_fleet_first_tick_stacks(served_model):
     model, dataset = served_model
     workload = _workload(dataset, 16)
     engines = []
-    for fused in (True, False):
-        engine = _engine(model, fused, num_chips=4)
+    for per_chip in (False, True):
+        engine = _engine(model, num_chips=4)
+        if per_chip:
+            _per_chip(engine)
         assert len(engine.cache) == 0
         for i, sample in enumerate(workload):
             engine.submit(sample, request_id=f"k{i:04d}")
@@ -156,16 +177,22 @@ def test_cold_fleet_first_tick_stacks(served_model):
 
 
 @pytest.mark.parametrize(
-    "fused, config",
-    [(True, {}), (False, {}), (True, {"self_tuning": SelfTuningConfig()})],
+    "refused, config",
+    [(False, {}), (True, {}), (False, {"self_tuning": SelfTuningConfig()})],
     ids=["fused", "unfused", "self-tuned"],
 )
-def test_unstackable_tick_holds_no_more_chips_than_the_cache(served_model, fused, config):
+def test_unstackable_tick_holds_no_more_chips_than_the_cache(
+    served_model, refuse_stacking, refused, config
+):
     """A tick of twelve batches on six chips with two resident cannot stack:
     each batch runs as soon as it is booked, so no more programmed chips
-    wait for a forward than the cache holds plus the one being staged."""
+    wait for a forward than the cache holds plus the one being staged —
+    whether the fleet could stack, every build refuses, or it is
+    self-tuned."""
     model, dataset = served_model
-    engine = _engine(model, fused, num_chips=6, max_resident_chips=2, **config)
+    if refused:
+        refuse_stacking()
+    engine = _engine(model, num_chips=6, max_resident_chips=2, **config)
     waiting, peak = [], []
     book, run_each = engine._book, engine._run_each
 
@@ -190,17 +217,19 @@ def test_unstackable_tick_holds_no_more_chips_than_the_cache(served_model, fused
     assert max(peak) <= engine.cache.capacity + 1
 
 
-def test_fused_parity_under_chaos(served_model):
+def test_fused_parity_under_chaos(served_model, refuse_stacking):
     """An installed fault injector routes every batch through the retrying
-    executor, so a chaos run is identical with fusion on or off — schedule,
-    dead letters, bits."""
+    executor, so a chaos run is identical whether the fleet can stack or
+    every build refuses — schedule, dead letters, bits."""
     model, dataset = served_model
     workload = _workload(dataset, 40)
     ids = [f"c{i:04d}" for i in range(len(workload))]
     trace = ReplayTrace.from_trace(UniformTrace(rate=10.0), len(ids))
     engines = []
-    for fused in (True, False):
-        engine = _engine(model, fused, num_chips=6)
+    for refused in (False, True):
+        if refused:
+            refuse_stacking()
+        engine = _engine(model, num_chips=6)
         engine.warm_up()
         FaultInjector(engine, FaultPlan(seed=3)).install()
         engine.run_trace(workload, trace, ids=ids)
@@ -218,8 +247,8 @@ def test_fused_parity_across_recalibration(served_model):
     model, dataset = served_model
     workload = _workload(dataset, 48)
     engines = []
-    for fused in (True, False):
-        engine = _engine(model, fused)
+    for per_chip in (False, True):
+        engine = _per_chip(_engine(model)) if per_chip else _engine(model)
         _serve_bursty(engine, workload[:24])
         engine.reprogram(engine.fleet[0])
         _serve_bursty(engine, workload[24:])
@@ -234,8 +263,8 @@ def test_fused_parity_across_fault_map_and_replacement(served_model):
     model, dataset = served_model
     workload = _workload(dataset, 48)
     engines = []
-    for fused in (True, False):
-        engine = _engine(model, fused)
+    for per_chip in (False, True):
+        engine = _per_chip(_engine(model)) if per_chip else _engine(model)
         _serve_bursty(engine, workload[:16])
         engine.inject_chip_faults(
             engine.fleet[1], FaultSpec(p_stuck_off=0.05, p_stuck_on=0.02), seed=9
@@ -254,9 +283,12 @@ def test_fused_parity_across_fault_map_and_replacement(served_model):
     [("fake-quant", None), ("circuit", None), ("fake-quant", 2), ("circuit", 2)],
     ids=["fake-quant", "circuit", "fake-quant-2-resident", "circuit-2-resident"],
 )
-def test_fused_parity_under_drifting_lifecycle(served_model, backend, max_resident_chips):
+def test_fused_parity_under_drifting_lifecycle(
+    served_model, refuse_stacking, backend, max_resident_chips
+):
     """The lifecycle drifts every chip between ticks, so mappings refresh
-    in place and the stack rebuilds; serving stays bit-identical.  With two
+    in place and the stack rebuilds; serving and probing stay
+    bit-identical to a run whose every stack build refuses.  With two
     resident chips the probe sweeps run in chunks that spill and
     re-realize chips."""
     model, dataset = served_model
@@ -267,12 +299,14 @@ def test_fused_parity_under_drifting_lifecycle(served_model, backend, max_reside
         dt=1.0, probe_every=6.0, accuracy_floor=0.95, probe_subset=16, seed=3
     )
     results = []
-    for fused in (True, False):
+    for refused in (False, True):
+        if refused:
+            refuse_stacking()
         engine = InferenceEngine(
             model,
             _spec(),
             config=ServeConfig(
-                max_batch=4, max_wait=2, seed=5, backend=backend, fused=fused,
+                max_batch=4, max_wait=2, seed=5, backend=backend,
                 max_resident_chips=max_resident_chips,
             ),
             fleet_spec=FleetSpec.parse("rram:2,flash:2"),
@@ -294,6 +328,7 @@ def test_fused_parity_under_drifting_lifecycle(served_model, backend, max_reside
     assert fused.telemetry.digest() == plain.telemetry.digest()
     assert fused.telemetry.quality_series == plain.telemetry.quality_series
     assert len(life_f.events) == len(life_p.events)
+    assert plain.telemetry.fused_groups == 0
 
 
 PROBE_FLEETS = {
@@ -306,7 +341,7 @@ PROBE_FLEETS = {
 
 def _probe_engine(model, fleet):
     """Five chips, two resident: sweeps chunk, spill and re-realize."""
-    engine = _engine(model, True, num_chips=5, max_resident_chips=2, **PROBE_FLEETS[fleet])
+    engine = _engine(model, num_chips=5, max_resident_chips=2, **PROBE_FLEETS[fleet])
     if fleet == "sticky-faults":
         for index in (1, 3):
             engine.inject_chip_faults(
@@ -345,7 +380,7 @@ def test_probe_sweep_programs_only_cold_chips(served_model):
     """Resident chips are probed first, so a sweep over 6 chips with 2
     resident programs the 4 others once each."""
     model, dataset = served_model
-    engine = _engine(model, True, num_chips=6, max_resident_chips=2)
+    engine = _engine(model, num_chips=6, max_resident_chips=2)
     engine.warm_up()
     assert len(engine.cache) == 2
     before = engine.cache.stats.misses
@@ -357,9 +392,7 @@ def test_probe_sweep_programs_only_cold_chips(served_model):
 def test_self_tuning_disables_fusion(served_model):
     model, dataset = served_model
     workload = _workload(dataset, 24)
-    engine = _engine(
-        model, True, backend="fake-quant", self_tuning=SelfTuningConfig()
-    )
+    engine = _engine(model, backend="fake-quant", self_tuning=SelfTuningConfig())
     _serve_bursty(engine, workload)
     assert engine.telemetry.fused_groups == 0
     assert len(engine.completed) == len(workload)
@@ -367,7 +400,7 @@ def test_self_tuning_disables_fusion(served_model):
 
 def test_fused_counters_in_report(served_model):
     model, dataset = served_model
-    engine = _serve_bursty(_engine(model, True), _workload(dataset, 24))
+    engine = _serve_bursty(_engine(model), _workload(dataset, 24))
     section = engine.telemetry.report()["fused"]
     assert section["groups"] == engine.telemetry.fused_groups
     assert section["batches"] == engine.telemetry.fused_batches
@@ -376,20 +409,21 @@ def test_fused_counters_in_report(served_model):
 def test_digest_is_deterministic_and_workload_sensitive(served_model):
     model, dataset = served_model
     workload = _workload(dataset, 24)
-    first = _serve_bursty(_engine(model, True), workload)
-    second = _serve_bursty(_engine(model, True), workload)
+    first = _serve_bursty(_engine(model), workload)
+    second = _serve_bursty(_engine(model), workload)
     assert first.telemetry.digest() == second.telemetry.digest()
-    shorter = _serve_bursty(_engine(model, True), workload[:12])
+    shorter = _serve_bursty(_engine(model), workload[:12])
     assert shorter.telemetry.digest() != first.telemetry.digest()
 
 
 @pytest.mark.parametrize("backend", ["fake-quant", "circuit"])
 def test_digest_covers_served_outputs(served_model, monkeypatch, backend):
     """One logit of one chip moved by one ulp changes the digest; the
-    routing, and every other accounted quantity, does not change."""
+    routing, and every other accounted quantity, does not change.  Both
+    runs serve chip by chip, so the nudged per-chip forward runs."""
     model, dataset = served_model
     workload = _workload(dataset, 24)
-    plain = _serve_bursty(_engine(model, False, backend=backend), workload)
+    plain = _serve_bursty(_per_chip(_engine(model, backend=backend)), workload)
     programmed_type = type(plain.programmed_for(plain.fleet[0]))
     forward = programmed_type.forward
 
@@ -401,7 +435,7 @@ def test_digest_covers_served_outputs(served_model, monkeypatch, backend):
         return out
 
     monkeypatch.setattr(programmed_type, "forward", nudged)
-    perturbed = _serve_bursty(_engine(model, False, backend=backend), workload)
+    perturbed = _serve_bursty(_per_chip(_engine(model, backend=backend)), workload)
     out_p, chips_p, digest_p = _snapshot(plain)
     out_n, chips_n, digest_n = _snapshot(perturbed)
     assert chips_n == chips_p
@@ -411,7 +445,7 @@ def test_digest_covers_served_outputs(served_model, monkeypatch, backend):
 
 
 def test_served_hash_ignores_batch_completion_order():
-    """The fused path completes a tick's batches after staging them all:
+    """The stacked path completes a tick's batches after staging them all:
     the digest must not depend on the order batches are recorded in."""
     from repro.serve.telemetry import ServeTelemetry
 

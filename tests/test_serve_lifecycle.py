@@ -230,15 +230,17 @@ class TestRecalibration:
 #: Fleets whose forward is deterministic, so the probe memo books: every
 #: recalibration, and every sweep that finds a recalibrated chip back at an
 #: age already probed.  Two resident chips out of three make sweeps chunk
-#: and spill, stacked or not.
+#: and spill, stacked or not: every stack build refuses for the fleets in
+#: :data:`UNSTACKED`.
 MEMO_FLEETS = {
     "fake-quant": {},
     "self-tuned-global": {"self_tuning": SelfTuningConfig("global", gtm_cells=1000)},
     "self-tuned-layer": {"self_tuning": SelfTuningConfig("layer")},
     "circuit": {"backend": "circuit"},
     "resident-2-fused": {"max_resident_chips": 2},
-    "resident-2-unfused": {"max_resident_chips": 2, "fused": False},
+    "resident-2-unfused": {"max_resident_chips": 2},
 }
+UNSTACKED = {"resident-2-unfused"}
 
 
 def _count_probes(monkeypatch) -> list:
@@ -336,8 +338,12 @@ class TestFreshStateQuality:
         return engine, lifecycle
 
     @pytest.mark.parametrize("fleet", sorted(MEMO_FLEETS))
-    def test_booking_matches_reprobing(self, served_model, monkeypatch, fleet):
+    def test_booking_matches_reprobing(
+        self, served_model, monkeypatch, refuse_stacking, fleet
+    ):
         """Booking the stored quality changes nothing but the probe count."""
+        if fleet in UNSTACKED:
+            refuse_stacking()
         engine, lifecycle = self._against_reference(
             served_model, monkeypatch, **MEMO_FLEETS[fleet]
         )
@@ -674,6 +680,10 @@ class TestConfigValidation:
             ({"probe_subset": 2.5}, "probe_subset"),
             ({"probe_subset": True}, "probe_subset"),
             ({"probe_k": True}, "probe_k"),
+            # A negative seed would fail in numpy at install(); 1.5 would be
+            # truncated into another chip's drift stream.
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.5}, "seed"),
         ],
     )
     def test_invalid_config_rejected_at_construction(self, overrides, match):

@@ -71,6 +71,16 @@ class TestSpec:
         assert mixed.sigma_between == mixed.sigma_within == 0.2
         assert VariabilitySpec.null().is_null
 
+    @pytest.mark.parametrize("field", ["sigma_within", "sigma_between"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), -0.3, float("inf"), True], ids=["nan", "negative", "inf", "bool"]
+    )
+    def test_bad_sigma_rejected(self, field, value):
+        """A NaN or negative sigma would sample a variation-free chip (draws
+        happen only for a sigma > 0) while ``is_null`` reads False."""
+        with pytest.raises(ValueError, match=field):
+            VariabilitySpec(**{field: value})
+
 
 class TestChipVariation:
     def test_epsilon_cached_and_deterministic(self):
